@@ -125,16 +125,21 @@ void BM_VotingModelBuild(benchmark::State& state) {
 }
 BENCHMARK(BM_VotingModelBuild);
 
+// The two vote kernels of the engine's decision path, on the shipped
+// backoff ladder: the leave-one-out global vote (an array index per level)
+// and the local vote over the X2 neighborhood (id compares per row).
 void BM_LeaveOneOutVote(benchmark::State& state) {
   const World& w = world();
   const config::ParamId param = w.catalog.id_of("pMax");
   const core::ParamView view = core::build_param_view(w.topo, w.catalog, w.assignment, param);
   const core::DependencyModel deps = core::learn_dependencies(view, w.codes, w.schema, {});
-  const core::VotingModel model(view, deps.dependent, w.codes);
+  const core::BackoffVoting model(view, deps.dependent, w.codes,
+                                  core::AuricOptions{}.backoff_levels);
   std::size_t row = 0;
   for (auto _ : state) {
-    const core::GroupKey key = model.key_for(view.carrier[row], view.neighbor[row]);
-    benchmark::DoNotOptimize(model.vote_excluding(key, view.label[row], 0.75));
+    const auto target = model.target(view, view.carrier[row], view.neighbor[row],
+                                      static_cast<std::int64_t>(row));
+    benchmark::DoNotOptimize(model.vote(target, 0.75, view.label[row]));
     row = (row + 1) % view.rows();
   }
   state.SetItemsProcessed(state.iterations());
@@ -146,13 +151,13 @@ void BM_LocalVote(benchmark::State& state) {
   const config::ParamId param = w.catalog.id_of("pMax");
   const core::ParamView view = core::build_param_view(w.topo, w.catalog, w.assignment, param);
   const core::DependencyModel deps = core::learn_dependencies(view, w.codes, w.schema, {});
-  const core::VotingModel model(view, deps.dependent, w.codes);
+  const core::BackoffVoting model(view, deps.dependent, w.codes,
+                                  core::AuricOptions{}.backoff_levels);
   std::size_t row = 0;
   for (auto _ : state) {
-    const core::GroupKey key = model.key_for(view.carrier[row], view.neighbor[row]);
-    benchmark::DoNotOptimize(core::local_vote(view, deps.dependent, w.codes, key,
-                                              w.topo.neighborhood(view.carrier[row]),
-                                              static_cast<std::int64_t>(row), 0.75));
+    benchmark::DoNotOptimize(model.local(view, w.topo.neighborhood(view.carrier[row]),
+                                         view.carrier[row], view.neighbor[row],
+                                         static_cast<std::int64_t>(row), 0.75));
     row = (row + 1) % view.rows();
   }
   state.SetItemsProcessed(state.iterations());
@@ -204,6 +209,22 @@ void BM_EngineRecommendCarrier(benchmark::State& state) {
                           static_cast<std::int64_t>(w.catalog.singular_ids().size()));
 }
 BENCHMARK(BM_EngineRecommendCarrier);
+
+// The same call on the world the CLI serves (28 markets, ~13.5K carriers),
+// carriers drawn in seeded random order as daemon traffic arrives.
+void BM_EngineRecommendCarrierDefaultWorld(benchmark::State& state) {
+  const World& w = relearn_world();
+  static const core::AuricEngine engine(w.topo, w.schema, w.catalog, w.assignment);
+  util::Rng rng(17);
+  const auto last = static_cast<std::int64_t>(w.topo.carrier_count()) - 1;
+  for (auto _ : state) {
+    const auto carrier = static_cast<netsim::CarrierId>(rng.uniform_int(0, last));
+    benchmark::DoNotOptimize(engine.recommend_singular(carrier));
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(w.catalog.singular_ids().size()));
+}
+BENCHMARK(BM_EngineRecommendCarrierDefaultWorld);
 
 // The same walk with a ModelWatch attached: prices the per-recommendation
 // telemetry (pre-resolved instruments, relaxed atomics). The §17 budget is

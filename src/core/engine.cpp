@@ -298,8 +298,9 @@ bool AuricEngine::relearn_param(std::size_t p, const config::ConfigAssignment& a
     }
     view.carrier = std::move(next.carrier);
     view.neighbor = std::move(next.neighbor);
-    view.entity = std::move(next.entity);
+    const std::vector<std::size_t> old_entity = std::exchange(view.entity, std::move(next.entity));
     view.value = std::move(next.value);
+    voting_[p].remap_rows(view, old_entity);
   } else {
     for (const Change& ch : changes) {
       const auto it = std::lower_bound(view.entity.begin(), view.entity.end(), ch.entity);
@@ -470,16 +471,16 @@ bool AuricEngine::relearn_param(std::size_t p, const config::ConfigAssignment& a
           std::is_permutation(next.dependent.begin(), next.dependent.end(),
                               dependencies_[p].dependent.begin());
       if (same_set) {
-        // The re-test only re-ranked the same dependent set: apply the day's
-        // votes in the old key order, then re-tuple the group keys into the
-        // new order (O(groups)) — no O(rows) rebuild. Votes ride first so a
-        // backoff level whose prefix membership shifted (rebuilt inside
-        // reorder_deps from the already-updated view) is not adjusted twice.
+        // The re-test only re-ranked the same dependent set: group ids name
+        // dependent sets, so the day's votes ride the existing tables and
+        // only a backoff level whose prefix membership shifted rebuilds.
+        // Votes ride first so that level (refolded inside reorder_deps from
+        // the already-updated level above it) is not adjusted twice.
         for (const Delta& d : deltas) {
           if (d.old_label >= 0) voting_[p].adjust(d.carrier, d.neighbor, d.old_label, -1);
           if (d.new_label >= 0) voting_[p].adjust(d.carrier, d.neighbor, d.new_label, 1);
         }
-        voting_[p].reorder_deps(view, next.dependent);
+        voting_[p].reorder_deps(next.dependent);
         dependencies_[p] = std::move(next);
         return true;
       } else {
@@ -523,6 +524,20 @@ std::int64_t AuricEngine::own_row(config::ParamId param, netsim::CarrierId carri
   return -1;
 }
 
+void AuricEngine::adopt(Recommendation& rec, const ParamView& view,
+                        const BackoffVoting::Decision& decision,
+                        RecommendationSource source) const {
+  rec.value = view.labels.values[static_cast<std::size_t>(decision.vote.label)];
+  rec.votes = decision.vote.count;
+  rec.group_size = decision.vote.group_size;
+  rec.support = decision.vote.support();
+  rec.margin = decision.vote.margin();
+  rec.level = decision.level;
+  rec.source = source;
+  recommendation_counter(source).inc();
+  if (watch_ != nullptr) watch_->record(rec);
+}
+
 Recommendation AuricEngine::recommend(config::ParamId param, netsim::CarrierId carrier,
                                       netsim::CarrierId neighbor, bool exclude_self) const {
   const config::ParamDef& def = catalog_->at(param);
@@ -537,42 +552,31 @@ Recommendation AuricEngine::recommend(config::ParamId param, netsim::CarrierId c
   Recommendation rec;
   rec.param = param;
 
-  const std::int64_t self_row = exclude_self ? own_row(param, carrier, neighbor) : -1;
-
-  const auto adopt = [&](const Vote& vote, RecommendationSource source) {
-    rec.value = v.labels.values[static_cast<std::size_t>(vote.label)];
-    rec.votes = vote.count;
-    rec.group_size = vote.group_size;
-    rec.support = vote.support();
-    rec.margin = vote.margin();
-    rec.source = source;
-    recommendation_counter(source).inc();
-    if (watch_ != nullptr) watch_->record(rec);
-  };
+  // The slot's peer-group ids at every level: its own row's when configured.
+  const std::int64_t row = own_row(param, carrier, neighbor);
+  const BackoffVoting::Target target = model.target(v, carrier, neighbor, row);
+  const std::int64_t self_row = exclude_self ? row : -1;
 
   if (options_.use_proximity) {
     std::optional<BackoffVoting::Decision> decision;
     if (options_.proximity_hops == 1) {
-      decision = model.local(v, topology_->neighborhood(carrier), carrier, neighbor, self_row,
+      decision = model.local(v, topology_->neighborhood(carrier), target, self_row,
                              options_.vote_threshold);
     } else {
       const std::vector<netsim::CarrierId> hood =
           topology_->neighborhood_hops(carrier, options_.proximity_hops);
-      decision = model.local(v, hood, carrier, neighbor, self_row, options_.vote_threshold);
+      decision = model.local(v, hood, target, self_row, options_.vote_threshold);
     }
     if (decision) {
-      adopt(decision->vote, RecommendationSource::kLocalVote);
+      adopt(rec, v, *decision, RecommendationSource::kLocalVote);
       return rec;
     }
   }
 
-  const std::optional<BackoffVoting::Decision> global =
-      self_row >= 0 ? model.vote_excluding(carrier, neighbor,
-                                           v.label[static_cast<std::size_t>(self_row)],
-                                           options_.vote_threshold)
-                    : model.vote(carrier, neighbor, options_.vote_threshold);
-  if (global) {
-    adopt(global->vote, RecommendationSource::kGlobalVote);
+  const ml::ClassLabel own_label =
+      self_row >= 0 ? v.label[static_cast<std::size_t>(self_row)] : -1;
+  if (const auto global = model.vote(target, options_.vote_threshold, own_label)) {
+    adopt(rec, v, *global, RecommendationSource::kGlobalVote);
     return rec;
   }
 
@@ -620,29 +624,19 @@ Recommendation AuricEngine::recommend_for(const netsim::Carrier& new_carrier,
   const ParamView& v = view(param);
   const BackoffVoting& model = voting(param);
   const std::vector<netsim::AttrCode> codes = schema_->encode(new_carrier);
+  const BackoffVoting::Target target =
+      model.target(Subject{netsim::kInvalidCarrier, neighbor, codes});
 
   Recommendation rec;
   rec.param = param;
-  const auto adopt = [&](const Vote& vote, RecommendationSource source) {
-    rec.value = v.labels.values[static_cast<std::size_t>(vote.label)];
-    rec.votes = vote.count;
-    rec.group_size = vote.group_size;
-    rec.support = vote.support();
-    rec.margin = vote.margin();
-    rec.source = source;
-    recommendation_counter(source).inc();
-    if (watch_ != nullptr) watch_->record(rec);
-  };
-
   if (options_.use_proximity) {
-    if (const auto decision =
-            model.local_codes(v, x2_neighbors, codes, neighbor, options_.vote_threshold)) {
-      adopt(decision->vote, RecommendationSource::kLocalVote);
+    if (const auto decision = model.local(v, x2_neighbors, target, -1, options_.vote_threshold)) {
+      adopt(rec, v, *decision, RecommendationSource::kLocalVote);
       return rec;
     }
   }
-  if (const auto decision = model.vote_codes(codes, neighbor, options_.vote_threshold)) {
-    adopt(decision->vote, RecommendationSource::kGlobalVote);
+  if (const auto decision = model.vote(target, options_.vote_threshold)) {
+    adopt(rec, v, *decision, RecommendationSource::kGlobalVote);
     return rec;
   }
   rec.value = def.default_index;
@@ -670,16 +664,19 @@ std::string AuricEngine::explain(const Recommendation& rec, netsim::CarrierId ca
   out += rec.value == config::kUnset ? "<none>"
                                      : util::format_fixed(def.domain.value(rec.value), 1);
   out += util::format(" [%s", recommendation_source_name(rec.source));
+  if (rec.level >= 0) out += util::format(", level %d", rec.level);
   if (rec.group_size > 0) {
     out += util::format(", support %d/%d (%.0f%%)", rec.votes, rec.group_size,
                         100.0 * rec.support);
   }
   out += "]";
-  const DependencyModel& deps = dependencies(rec.param);
-  if (!deps.dependent.empty()) {
+  // A vote matched on the dependents its backoff level kept.
+  std::span<const AttrRef> deps = dependencies(rec.param).dependent;
+  if (rec.level >= 0) deps = voting(rec.param).deps_at(rec.level);
+  if (!deps.empty()) {
     out += " matched on ";
     bool first = true;
-    for (const AttrRef& ref : deps.dependent) {
+    for (const AttrRef& ref : deps) {
       const netsim::CarrierId subject = ref.neighbor_side ? neighbor : carrier;
       if (subject == netsim::kInvalidCarrier) continue;
       if (!first) out += ", ";

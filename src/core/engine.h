@@ -78,6 +78,7 @@ struct Recommendation {
   std::int32_t group_size = 0;  ///< peers that voted
   double support = 0.0;         ///< votes / group_size
   double margin = 0.0;          ///< (votes - runner-up) / group_size; 0 for defaults
+  int level = -1;               ///< backoff level the vote decided at; -1 for defaults
 };
 
 class ModelWatch;
@@ -130,9 +131,9 @@ class AuricEngine {
   /// splices the label alphabet in place (an exact monotone re-coding, no
   /// re-tally); the chi-square dependency scan re-runs only per `options`
   /// (see IncrementalRelearnOptions), and voting tables rebuild only when a
-  /// parameter's dependent-set membership changed — a re-test that merely
-  /// re-ranks the same set re-tuples the existing group keys. With the
-  /// default options the result is bit-identical to
+  /// parameter's dependent-set membership changed — peer-group ids name
+  /// dependent sets, so a re-test that merely re-ranks the same set keeps
+  /// them. With the default options the result is bit-identical to
   /// constructing a fresh engine over `assignment` — O(day's delta) instead
   /// of O(inventory). The assignment must describe the same topology and
   /// catalog the engine was built over.
@@ -224,6 +225,10 @@ class AuricEngine {
   /// Returns true when the parameter was touched.
   bool relearn_param(std::size_t p, const config::ConfigAssignment& assignment,
                      const IncrementalRelearnOptions& options, IncrementalRelearnStats& stats);
+
+  /// Fills `rec` from a vote decision and records it (counters, watch).
+  void adopt(Recommendation& rec, const ParamView& view, const BackoffVoting::Decision& decision,
+             RecommendationSource source) const;
 
   /// Row of `view(param)` holding the carrier's own current observation for
   /// this exact slot, or -1.

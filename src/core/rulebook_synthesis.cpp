@@ -19,9 +19,8 @@ SynthesizedRulebook synthesize_rulebook(const AuricEngine& engine,
     if (voting.level_count() == 0) continue;
     const auto deps = voting.deps_at(0);
 
-    // Re-aggregate the level-0 groups (the full dependent-attribute match).
-    const VotingModel model(view, deps, engine.attr_codes());
-    for (const VotingModel::GroupSummary& group : model.group_summaries()) {
+    // The level-0 groups (the full dependent-attribute match).
+    for (const VotingModel::GroupSummary& group : voting.model_at(0).group_summaries(deps)) {
       if (group.total < options.min_carriers) continue;
       if (group.support() < options.min_support) continue;
       SynthesizedRule rule;

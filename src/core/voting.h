@@ -3,15 +3,17 @@
 // Carriers that match a target exactly on the dependent attributes form its
 // peer group; the recommendation is the group's modal value, emitted only
 // when its support reaches the voting threshold (75% in the paper).
-// VotingModel pre-aggregates the peer groups so a global recommendation (or
-// a leave-one-out evaluation pass over millions of slots) is a hash lookup;
-// local (1-hop X2) voting scans the small neighborhood row set directly.
+// Peer groups are interned as dense ids with flat vote arrays: a global vote
+// is an array index, a local (1-hop X2) vote compares the neighborhood
+// rows' ids with the target's (DESIGN.md §5).
 #pragma once
 
+#include <algorithm>
+#include <array>
 #include <cstdint>
 #include <optional>
 #include <span>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "core/dependency.h"
@@ -19,12 +21,9 @@
 
 namespace auric::core {
 
-/// A peer-group key: the codes of the dependent attributes, in model order.
-using GroupKey = std::vector<std::int32_t>;
-
-struct GroupKeyHash {
-  std::size_t operator()(const GroupKey& key) const;
-};
+/// Dense id of a peer group within one VotingModel; kNoGroup matches nothing.
+using GroupId = std::int32_t;
+inline constexpr GroupId kNoGroup = -1;
 
 struct Vote {
   ml::ClassLabel label = -1;     ///< winning class (ParamView label space)
@@ -43,61 +42,56 @@ struct Vote {
   }
 };
 
+/// Whose codes a key is read from: carrier-side dependents from `carrier_codes`
+/// if given (a carrier outside the inventory), else `carrier`'s; others `neighbor`'s.
+struct Subject {
+  netsim::CarrierId carrier = netsim::kInvalidCarrier;
+  netsim::CarrierId neighbor = netsim::kInvalidCarrier;
+  std::span<const netsim::AttrCode> carrier_codes = {};
+};
+
+/// One backoff level's peer-group table: dense group ids from an open-addressing
+/// index hashed over the dependents in canonical (AttrRef, not rank) order, so
+/// an id names a dependent *set*; hits are verified against a representative
+/// observation's codes. Votes are per-group totals plus (label, count) CSR.
 class VotingModel {
  public:
   /// Aggregates `view` into peer groups keyed by the dependent attributes of
   /// `deps`. `attr_codes` must be the same encoding the dependency scan used.
+  /// Row r's group id goes to `row_ids[r * stride]` when `row_ids` is set.
   VotingModel(const ParamView& view, std::span<const AttrRef> deps,
-              const std::vector<std::vector<netsim::AttrCode>>& attr_codes);
+              const std::vector<std::vector<netsim::AttrCode>>& attr_codes,
+              GroupId* row_ids = nullptr, std::size_t stride = 1);
 
-  /// Key for a (carrier, neighbor) subject; neighbor may be kInvalidCarrier
-  /// for singular parameters (then neighbor-side refs must be absent).
-  GroupKey key_for(netsim::CarrierId carrier, netsim::CarrierId neighbor) const;
+  /// Id of the group `subject` keys into, or kNoGroup. Throws
+  /// std::logic_error for neighbor-side dependents without a neighbor.
+  GroupId find(const Subject& subject) const;
 
-  /// Winning vote of the peer group, if the group exists and the winner's
-  /// support is >= `threshold`.
-  std::optional<Vote> vote(const GroupKey& key, double threshold) const;
+  /// Winning vote of group `id` if its support is >= `threshold`; `own_label`
+  /// >= 0 first removes one observation of it (leave-one-out, §4.2).
+  std::optional<Vote> vote(GroupId id, double threshold, ml::ClassLabel own_label = -1) const;
 
-  /// Leave-one-out vote: as `vote` but with one observation of `own_label`
-  /// removed from the group (evaluation treats each carrier as new, §4.2).
-  std::optional<Vote> vote_excluding(const GroupKey& key, ml::ClassLabel own_label,
-                                     double threshold) const;
+  /// Applies a signed vote delta for one observation (+1 interns a new group)
+  /// and returns the group's id. An emptied group keeps its id and stops
+  /// counting as live, so the model votes as a fresh build would (DESIGN.md
+  /// §18). Throws std::logic_error when a count would go negative.
+  GroupId adjust(netsim::CarrierId carrier, netsim::CarrierId neighbor, ml::ClassLabel label,
+                 std::int32_t delta);
 
-  /// Applies a signed vote delta for one observation: +1 adds a voter with
-  /// `label` to the group (created when absent), -1 removes one. Pairs that
-  /// reach zero votes and groups that reach zero voters are erased, so a
-  /// delta-maintained model holds exactly the groups a from-scratch build
-  /// over the same population would (winner/runner-up scans are
-  /// order-independent over the (label, count) multiset, so equal multisets
-  /// mean equal votes — DESIGN.md §18). Throws std::logic_error when a count
-  /// would go negative.
-  void adjust(const GroupKey& key, ml::ClassLabel label, std::int32_t delta);
-
-  /// Rewrites every stored vote's label through `old_to_new` (index = old
-  /// label code). Used when the label dictionary is re-coded in place — a
-  /// value appeared or vanished and every dense code shifted. The map must
-  /// be monotone over live labels so smallest-label tie-breaks survive the
-  /// renumbering; a negative entry asserts that label holds no votes (it was
-  /// dropped from the dictionary) and trips std::logic_error otherwise.
+  /// Re-codes every vote's label through monotone `old_to_new`; a negative
+  /// entry for a label that still holds votes trips std::logic_error.
   void remap_labels(std::span<const ml::ClassLabel> old_to_new);
 
-  /// Re-orders the dependent list to `new_deps`, which must be a permutation
-  /// of deps(): every group key is re-tupled into the new attribute order —
-  /// O(groups), not O(rows) — with group contents untouched. The re-ranked
-  /// model equals a from-scratch build over the same population because peer
-  /// grouping is a function of the dependent *set*; only the key tuple order
-  /// follows the ranking. Throws std::logic_error on a non-permutation.
-  void reorder_deps(std::span<const AttrRef> new_deps);
+  /// Live groups (at least one voter).
+  std::size_t group_count() const {
+    return static_cast<std::size_t>(
+        std::count_if(groups_.begin(), groups_.end(), [](const Group& g) { return g.total > 0; }));
+  }
 
-  std::size_t group_count() const { return groups_.size(); }
-
-  /// The dependent attribute refs this model keys on.
-  std::span<const AttrRef> deps() const { return deps_; }
-
-  /// One peer group's aggregate: its key, the modal value and the counts.
-  /// Used by rule-book synthesis to export the learned structure.
+  /// Each live group's key (codes of the dependents, listed in `order`), modal
+  /// value and counts, for rule-book synthesis; sorted by key.
   struct GroupSummary {
-    GroupKey key;
+    std::vector<netsim::AttrCode> key;
     ml::ClassLabel winner = -1;
     std::int32_t winner_count = 0;
     std::int32_t total = 0;
@@ -105,39 +99,54 @@ class VotingModel {
       return total > 0 ? static_cast<double>(winner_count) / static_cast<double>(total) : 0.0;
     }
   };
-  std::vector<GroupSummary> group_summaries() const;
+  std::vector<GroupSummary> group_summaries(std::span<const AttrRef> order) const;
 
  private:
+  friend class BackoffVoting;
+  using Pair = std::pair<ml::ClassLabel, std::int32_t>;
+
+  VotingModel(std::span<const AttrRef> deps,  // an empty table
+              const std::vector<std::vector<netsim::AttrCode>>& attr_codes);
+
+  /// find(), creating an empty group when absent (topology carriers only).
+  GroupId intern(netsim::CarrierId carrier, netsim::CarrierId neighbor);
+  std::uint64_t hash(const Subject& subject) const;
+  /// Slot holding `subject`'s group, or the empty slot where it would go.
+  std::size_t probe(const Subject& subject, std::uint64_t h) const;
+  void grow();
+  void add(GroupId id, ml::ClassLabel label, std::int32_t delta);
+  void pack();  // drops the pairs_ entries orphaned by segment moves
+
+  /// One group's record, by id: everything a lookup or a vote touches.
   struct Group {
-    // (label, count), unsorted; peer groups have few distinct values.
-    std::vector<std::pair<ml::ClassLabel, std::int32_t>> counts;
-    std::int32_t total = 0;
+    std::uint64_t hash;
+    netsim::CarrierId rep_carrier, rep_neighbor;  // representative observation
+    std::int32_t total;
+    std::uint32_t begin, len;  // segment of pairs_
+    GroupId parent;  // the next level's group holding this key (BackoffVoting only)
   };
 
-  std::vector<AttrRef> deps_;
+  std::vector<AttrRef> deps_;  // canonical order
   const std::vector<std::vector<netsim::AttrCode>>* attr_codes_;
-  std::unordered_map<GroupKey, Group, GroupKeyHash> groups_;
-
-  static std::optional<Vote> winner(const Group& group, ml::ClassLabel excluded,
-                                    bool exclude_one, double threshold);
+  std::vector<GroupId> slots_;  // open addressing, power-of-two size
+  std::vector<Group> groups_;
+  std::vector<Pair> pairs_;
+  std::size_t holes_ = 0;
 };
 
-/// Voting with support-driven backoff.
-///
-/// The dependency scan orders attributes strongest-first; when the exact
-/// match on all dependents yields no group or a vote below the threshold,
-/// the weakest dependent is dropped and the (coarser, larger) group is
-/// retried, up to `levels` times, before giving up. This keeps the 75%-vote
-/// semantics of the paper while preventing inter-correlated attributes from
-/// fragmenting peer groups below statistical usefulness (DESIGN.md §5).
+/// Voting with support-driven backoff (DESIGN.md §5). When the exact match on
+/// all dependents (strongest first) yields no vote at the threshold, the
+/// weakest dependent is dropped and the coarser group retried, up to `levels`
+/// times. Every view row stores its group id at each level, row-major, so
+/// one cache line holds a row's whole ladder.
 class BackoffVoting {
  public:
-  /// `deps` must be sorted strongest-first (learn_dependencies output).
-  /// levels >= 1; level k matches on the first (|deps| - k) dependents.
-  /// A vote at any level before the last also needs at least `min_voters`
-  /// peers — a unanimous "vote" of one or two carriers is no evidence, and
-  /// accepting it would let isolated noisy peers decide; the final level
-  /// accepts any non-empty group (the best available evidence).
+  static constexpr int kMaxLevels = 16;
+
+  /// `deps` sorted strongest-first; level k (< levels) matches on the first
+  /// |deps| - k. A vote before the last level also needs `min_voters` peers —
+  /// a unanimous "vote" of one or two carriers is no evidence; the final
+  /// level accepts any non-empty group (the best available evidence).
   BackoffVoting(const ParamView& view, std::span<const AttrRef> deps,
                 const std::vector<std::vector<netsim::AttrCode>>& attr_codes, int levels = 3,
                 int min_voters = 3);
@@ -147,61 +156,74 @@ class BackoffVoting {
     int level = 0;  ///< 0 = full dependent set, 1 = one dropped, ...
   };
 
-  /// Global vote for (carrier, neighbor); tries levels in order.
+  /// A slot's group id at every level (a ladder holds at most kMaxLevels).
+  using Target = std::array<GroupId, kMaxLevels>;
+
+  /// Target of (carrier, neighbor): `row`'s ids when it is that slot's row
+  /// of `view` (the view this model was built from), else a lookup.
+  Target target(const ParamView& view, netsim::CarrierId carrier, netsim::CarrierId neighbor,
+                std::int64_t row) const;
+
+  /// Target by lookup: the cold start of a carrier not in the topology
+  /// (kUnseen codes match no group: §6's bootstrap fallback).
+  Target target(const Subject& subject) const;
+
+  /// Global vote; tries levels in order. `own_label` >= 0 makes it the
+  /// leave-one-out vote.
+  std::optional<Decision> vote(const Target& target, double threshold,
+                               ml::ClassLabel own_label = -1) const;
+
+  /// Local vote on the same ladder (§3.3): the peers are `view`'s rows whose
+  /// subject is in `candidates` and whose id is the target's, but not
+  /// `exclude_row`; every level needs the quorum. `carrier_weights` (§6
+  /// feedback), when given, weighs each voter by its carrier.
+  std::optional<Decision> local(const ParamView& view,
+                                std::span<const netsim::CarrierId> candidates,
+                                const Target& target, std::int64_t exclude_row, double threshold,
+                                std::span<const double> carrier_weights = {}) const;
+
+  /// The same votes addressed by (carrier, neighbor).
   std::optional<Decision> vote(netsim::CarrierId carrier, netsim::CarrierId neighbor,
-                               double threshold) const;
-
-  /// Global vote for a carrier NOT present in the topology: carrier-side
-  /// dependent attributes are read from `carrier_codes` (one code per schema
-  /// attribute, AttributeSchema::encode output; kUnseen codes simply match
-  /// no peer group, which realizes §6's bootstrap fallback). Neighbor-side
-  /// refs still resolve against the topology via `neighbor`.
-  std::optional<Decision> vote_codes(std::span<const netsim::AttrCode> carrier_codes,
-                                     netsim::CarrierId neighbor, double threshold) const;
-
-  /// Local vote for a carrier not present in the topology (see vote_codes);
-  /// `candidates` is the new carrier's planned X2 neighborhood.
-  std::optional<Decision> local_codes(const ParamView& view,
-                                      std::span<const netsim::CarrierId> candidates,
-                                      std::span<const netsim::AttrCode> carrier_codes,
-                                      netsim::CarrierId neighbor, double threshold) const;
-
-  /// Leave-one-out global vote (one observation of own_label removed).
+                               double threshold) const {
+    return vote(target(Subject{carrier, neighbor}), threshold);
+  }
   std::optional<Decision> vote_excluding(netsim::CarrierId carrier, netsim::CarrierId neighbor,
-                                         ml::ClassLabel own_label, double threshold) const;
-
-  /// Local vote over `candidates` with the same backoff ladder.
+                                         ml::ClassLabel own_label, double threshold) const {
+    return vote(target(Subject{carrier, neighbor}), threshold, own_label);
+  }
   std::optional<Decision> local(const ParamView& view,
                                 std::span<const netsim::CarrierId> candidates,
                                 netsim::CarrierId carrier, netsim::CarrierId neighbor,
                                 std::int64_t exclude_row, double threshold,
-                                std::span<const double> carrier_weights = {}) const;
+                                std::span<const double> carrier_weights = {}) const {
+    return local(view, candidates, target(view, carrier, neighbor, exclude_row), exclude_row,
+                 threshold, carrier_weights);
+  }
 
-  /// Applies a signed vote delta for one observation of (carrier, neighbor)
-  /// across every backoff level (see VotingModel::adjust). The incremental
-  /// relearn path uses this to keep all levels consistent with the day's
-  /// slot deltas without rebuilding.
+  /// Incremental relearn (DESIGN.md §18): a signed vote delta for one
+  /// observation at every level (see VotingModel::adjust).
   void adjust(netsim::CarrierId carrier, netsim::CarrierId neighbor, ml::ClassLabel label,
               std::int32_t delta);
 
-  /// Applies a label renumbering to every backoff level (see
-  /// VotingModel::remap_labels).
-  void remap_labels(std::span<const ml::ClassLabel> old_to_new);
+  /// Re-keys the id column after `view`'s rows were rebuilt from
+  /// `old_entity`: surviving rows keep their ids, new rows intern theirs.
+  void remap_rows(const ParamView& view, std::span<const std::size_t> old_entity);
 
-  /// Adopts a re-ranked dependent list (`new_deps` must be a permutation of
-  /// the current set). Backoff levels whose key prefix spans the same
-  /// attribute set keep their aggregated groups with keys re-tupled in the
-  /// new order; levels whose prefix membership shifted (the dropped-weakest
-  /// tail changed) rebuild from `view`. The incremental relearn path uses
-  /// this when a drift re-test re-ranks an unchanged dependent set — the
-  /// common case — so an O(rows) voting rebuild becomes O(groups).
-  void reorder_deps(const ParamView& view, std::span<const AttrRef> new_deps);
+  /// Applies a label renumbering to every level (VotingModel::remap_labels).
+  void remap_labels(std::span<const ml::ClassLabel> old_to_new) {
+    for (VotingModel& model : models_) model.remap_labels(old_to_new);
+  }
 
-  /// Dependent refs used at backoff level `level`.
-  std::span<const AttrRef> deps_at(int level) const;
+  /// Adopts a re-ranking of the same dependent set. Ids name sets, so only a
+  /// level whose prefix membership shifted is refolded from the level above.
+  void reorder_deps(std::span<const AttrRef> new_deps);
 
-  /// The voting model at backoff `level` (0 = full dependent set); exposed
-  /// for structural equality checks in tests and diagnostics.
+  /// Dependent refs used at backoff level `level`, strongest first.
+  std::span<const AttrRef> deps_at(int level) const {
+    return {deps_.data(), deps_.size() - static_cast<std::size_t>(level)};
+  }
+
+  /// The voting model at backoff `level` (0 = full dependent set).
   const VotingModel& model_at(int level) const {
     return models_.at(static_cast<std::size_t>(level));
   }
@@ -212,27 +234,12 @@ class BackoffVoting {
   std::vector<AttrRef> deps_;
   const std::vector<std::vector<netsim::AttrCode>>* attr_codes_;
   std::vector<VotingModel> models_;  // [level] -> model on the prefix
+  std::vector<GroupId> ids_;         // [row * level_count() + level]
   int min_voters_ = 3;
 
-  bool accept(const Vote& vote, int level) const;
+  /// Level `level`'s table folded from level - 1's, filling its id column
+  /// and linking level - 1's groups to it.
+  VotingModel coarsen(int level, std::size_t stride);
 };
-
-/// Local (geographical-proximity) vote: peers are the rows of `view` whose
-/// subject carrier lies in `candidates` (typically the 1-hop X2 neighborhood
-/// of the target, §3.3) and whose dependent attribute codes equal `key`.
-/// `exclude_row` (the target's own row during evaluation) is skipped when
-/// >= 0. Returns the winning vote if support >= threshold.
-///
-/// `carrier_weights`, when non-empty (one weight per topology carrier),
-/// implements the §6 performance-feedback extension: each voter contributes
-/// its carrier's weight instead of 1, so carriers whose past configuration
-/// changes improved service performance count for more. Vote counts are
-/// then rounded weight totals and support is the weight fraction.
-std::optional<Vote> local_vote(const ParamView& view, std::span<const AttrRef> deps,
-                               const std::vector<std::vector<netsim::AttrCode>>& attr_codes,
-                               const GroupKey& key,
-                               std::span<const netsim::CarrierId> candidates,
-                               std::int64_t exclude_row, double threshold,
-                               std::span<const double> carrier_weights = {});
 
 }  // namespace auric::core

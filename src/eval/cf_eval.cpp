@@ -36,18 +36,18 @@ CfParamResult CfEvaluator::evaluate_param(config::ParamId param,
   for (std::size_t r = 0; r < view.rows(); ++r) {
     const netsim::CarrierId carrier = view.carrier[r];
 
+    const auto row = static_cast<std::int64_t>(r);
+    const BackoffVoting::Target target = model.target(view, carrier, view.neighbor[r], row);
     config::ValueIndex predicted = config::kUnset;
     bool decided_locally = false;
     if (options_.local) {
       std::optional<BackoffVoting::Decision> decision;
       if (options_.proximity_hops == 1) {
-        decision = model.local(view, topology_->neighborhood(carrier), carrier,
-                               view.neighbor[r], static_cast<std::int64_t>(r),
+        decision = model.local(view, topology_->neighborhood(carrier), target, row,
                                options_.vote_threshold, options_.carrier_weights);
       } else {
         const auto hood = topology_->neighborhood_hops(carrier, options_.proximity_hops);
-        decision = model.local(view, hood, carrier, view.neighbor[r],
-                               static_cast<std::int64_t>(r), options_.vote_threshold,
+        decision = model.local(view, hood, target, row, options_.vote_threshold,
                                options_.carrier_weights);
       }
       if (decision) {
@@ -56,8 +56,7 @@ CfParamResult CfEvaluator::evaluate_param(config::ParamId param,
       }
     }
     if (predicted == config::kUnset && (!options_.local || options_.fallback_global)) {
-      const auto decision = model.vote_excluding(carrier, view.neighbor[r], view.label[r],
-                                                 options_.vote_threshold);
+      const auto decision = model.vote(target, options_.vote_threshold, view.label[r]);
       if (decision) {
         predicted = view.labels.values[static_cast<std::size_t>(decision->vote.label)];
       }

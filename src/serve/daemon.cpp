@@ -637,7 +637,8 @@ obs::HttpResponse ServeDaemon::compute(const obs::HttpRequest& request,
               "\",\"votes\":" + std::to_string(rec.votes) +
               ",\"group_size\":" + std::to_string(rec.group_size) +
               ",\"support\":" + util::format("%.4f", rec.support) +
-              ",\"margin\":" + util::format("%.4f", rec.margin) + "}";
+              ",\"margin\":" + util::format("%.4f", rec.margin) +
+              ",\"level\":" + std::to_string(rec.level) + "}";
     }
     body += "]}";
     return json_response(200, std::move(body));

@@ -1,7 +1,14 @@
 #include "core/engine.h"
 
+#include <algorithm>
+#include <cstring>
+#include <thread>
+#include <vector>
+
 #include <gtest/gtest.h>
 
+#include "config/ground_truth.h"
+#include "core/model_watch.h"
 #include "test_helpers.h"
 
 namespace auric::core {
@@ -149,6 +156,114 @@ TEST(RecommendationSourceNames, Stable) {
   EXPECT_STREQ(recommendation_source_name(RecommendationSource::kLocalVote), "local-vote");
   EXPECT_STREQ(recommendation_source_name(RecommendationSource::kRulebookDefault),
                "rulebook-default");
+}
+
+/// FNV-1a over every field a recommendation carries.
+std::uint64_t digest_of(const std::vector<Recommendation>& recs) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  const auto mix = [&h](const auto& v) {
+    unsigned char bytes[sizeof v];
+    std::memcpy(bytes, &v, sizeof v);
+    for (unsigned char b : bytes) h = (h ^ b) * 0x100000001b3ULL;
+  };
+  for (const Recommendation& r : recs) {
+    mix(r.param);
+    mix(r.value);
+    mix(r.source);
+    mix(r.votes);
+    mix(r.group_size);
+    mix(r.support);
+    mix(r.margin);
+    mix(r.level);
+  }
+  return h;
+}
+
+/// The serve plane shares one engine (and its watch) across request threads:
+/// four threads walking every carrier, each from a different start, must
+/// reproduce the serial answers exactly.
+TEST(AuricEngine, ConcurrentRecommendMatchesTheSerialDigest) {
+  const netsim::Topology topo = test::small_generated_topology(5, 2, 10);
+  const netsim::AttributeSchema schema = netsim::AttributeSchema::standard(topo);
+  const config::ParamCatalog catalog = config::ParamCatalog::standard();
+  const config::ConfigAssignment assignment =
+      config::GroundTruthModel(topo, schema, catalog).assign();
+  AuricEngine engine(topo, schema, catalog, assignment);
+  obs::MetricsRegistry registry;
+  const ModelWatch watch(catalog, registry);
+  engine.set_watch(&watch);
+
+  const auto n = static_cast<netsim::CarrierId>(topo.carrier_count());
+  const auto walk = [&](netsim::CarrierId start) {
+    std::vector<std::vector<Recommendation>> by_carrier(topo.carrier_count());
+    for (netsim::CarrierId i = 0; i < n; ++i) {
+      const netsim::CarrierId c = (start + i) % n;
+      by_carrier[static_cast<std::size_t>(c)] = engine.recommend_singular(c);
+    }
+    std::vector<Recommendation> flat;
+    for (const auto& recs : by_carrier) flat.insert(flat.end(), recs.begin(), recs.end());
+    return digest_of(flat);
+  };
+  const std::uint64_t serial = walk(0);
+  std::vector<std::uint64_t> digests(4);
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < digests.size(); ++t) {
+    threads.emplace_back([&, t] { digests[t] = walk(static_cast<netsim::CarrierId>(t) * n / 4); });
+  }
+  for (std::thread& t : threads) t.join();
+  for (std::uint64_t d : digests) EXPECT_EQ(d, serial);
+}
+
+TEST(AuricEngine, RecommendationCarriesItsBackoffLevel) {
+  const netsim::Topology topo = test::small_generated_topology(5, 2, 10);
+  const netsim::AttributeSchema schema = netsim::AttributeSchema::standard(topo);
+  const config::ParamCatalog catalog = config::ParamCatalog::standard();
+  const config::ConfigAssignment assignment =
+      config::GroundTruthModel(topo, schema, catalog).assign();
+  const AuricEngine engine(topo, schema, catalog, assignment);
+  const double threshold = engine.options().vote_threshold;
+  bool backed_off = false;
+  for (const netsim::Carrier& c : topo.carriers) {
+    for (const Recommendation& rec : engine.recommend_singular(c.id)) {
+      const BackoffVoting& voting = engine.voting(rec.param);
+      const ParamView& view = engine.view(rec.param);
+      std::int64_t row = -1;
+      if (!view.rows_of(c.id).empty()) row = view.rows_of(c.id)[0];
+      std::optional<BackoffVoting::Decision> decision;
+      if (rec.source == RecommendationSource::kLocalVote) {
+        decision = voting.local(view, topo.neighborhood(c.id), c.id, netsim::kInvalidCarrier,
+                                row, threshold);
+      } else if (rec.source == RecommendationSource::kGlobalVote) {
+        decision = row >= 0 ? voting.vote_excluding(c.id, netsim::kInvalidCarrier,
+                                                    view.label[static_cast<std::size_t>(row)],
+                                                    threshold)
+                            : voting.vote(c.id, netsim::kInvalidCarrier, threshold);
+      }
+      ASSERT_EQ(rec.level, decision ? decision->level : -1) << "carrier " << c.id;
+      if (rec.level > 0 && !backed_off) {
+        // explain() names the level and matches on just the dependents it kept.
+        backed_off = true;
+        const std::string text = engine.explain(rec, c.id);
+        EXPECT_NE(text.find(", level " + std::to_string(rec.level) + ","), std::string::npos);
+        const std::string matched = text.substr(text.find(" matched on "));
+        EXPECT_EQ(static_cast<std::size_t>(std::count(matched.begin(), matched.end(), '=')),
+                  voting.deps_at(rec.level).size());
+      }
+    }
+  }
+  EXPECT_TRUE(backed_off);
+}
+
+TEST(AuricEngine, RulebookDefaultHasNoBackoffLevel) {
+  Fixture f;
+  for (std::size_t c = 0; c < f.topo.carrier_count(); ++c) {
+    f.assignment.singular[0].value[c] = static_cast<config::ValueIndex>(c % 11);
+  }
+  const AuricEngine engine(f.topo, f.schema, f.catalog, f.assignment, relaxed());
+  const Recommendation rec = engine.recommend(0, 0);
+  ASSERT_EQ(rec.source, RecommendationSource::kRulebookDefault);
+  EXPECT_EQ(rec.level, -1);
+  EXPECT_EQ(engine.explain(rec, 0).find("level"), std::string::npos);
 }
 
 }  // namespace

@@ -7,7 +7,9 @@
 // and the relearn shadow-audit's engine diff.
 #include "core/model_watch.h"
 
+#include <array>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -104,6 +106,59 @@ TEST(ModelWatch, RecordMirrorsSourcesSupportAndCoverage) {
   watch.roll_day();
   EXPECT_NEAR(registry.gauge("auric_model_coverage", "", {{"param", name}}).value(), 2.0 / 3.0,
               1e-9);
+}
+
+/// record() is documented lock-free and safe from serve threads: eight
+/// threads hammer one watch and every per-source counter, support histogram
+/// and coverage ratio must come out exact.
+TEST(ModelWatch, ConcurrentRecordCountsExactly) {
+  obs::MetricsRegistry registry;
+  const config::ParamCatalog catalog = config::ParamCatalog::standard();
+  ModelWatch watch(catalog, registry);
+  constexpr int kThreads = 8;
+  constexpr int kPerThread = 6000;
+  const auto param_of = [&](int i) { return static_cast<config::ParamId>(i % catalog.size()); };
+  const auto source_of = [](int i) { return static_cast<RecommendationSource>((i / 7) % 3); };
+
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&] {
+      for (int i = 0; i < kPerThread; ++i) {
+        const RecommendationSource source = source_of(i);
+        watch.record(rec_of(param_of(i), 0, source,
+                            source == RecommendationSource::kRulebookDefault ? 0.0 : 0.9, 0.5));
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+
+  std::vector<std::array<std::uint64_t, 3>> expected(catalog.size(), {0, 0, 0});
+  for (int i = 0; i < kPerThread; ++i) {
+    expected[static_cast<std::size_t>(param_of(i))][static_cast<std::size_t>(source_of(i))] +=
+        kThreads;
+  }
+  std::vector<double> unit_bounds;
+  for (int i = 1; i <= 10; ++i) unit_bounds.push_back(0.1 * i);
+  watch.roll_day();
+  for (std::size_t p = 0; p < catalog.size(); ++p) {
+    const std::string& name = catalog.at(static_cast<config::ParamId>(p)).name;
+    std::uint64_t total = 0;
+    for (int s = 0; s < 3; ++s) {
+      const char* source = recommendation_source_name(static_cast<RecommendationSource>(s));
+      EXPECT_EQ(registry
+                    .counter("auric_model_recommendations_total", "",
+                             {{"param", name}, {"source", source}})
+                    .value(),
+                expected[p][static_cast<std::size_t>(s)])
+          << name << " " << source;
+      total += expected[p][static_cast<std::size_t>(s)];
+    }
+    EXPECT_EQ(registry.histogram("auric_model_support", unit_bounds, "", {{"param", name}}).count(),
+              total);
+    const double voted = static_cast<double>(total - expected[p][2]);
+    EXPECT_EQ(registry.gauge("auric_model_coverage", "", {{"param", name}}).value(),
+              voted / static_cast<double>(total));
+  }
 }
 
 TEST(ModelWatch, GateOutcomesJoinBackToTheParameter) {

@@ -29,8 +29,9 @@ struct Fixture {
   }
 };
 
-std::vector<VotingModel::GroupSummary> sorted_groups(const VotingModel& model) {
-  std::vector<VotingModel::GroupSummary> groups = model.group_summaries();
+std::vector<VotingModel::GroupSummary> sorted_groups(const BackoffVoting& voting, int level) {
+  std::vector<VotingModel::GroupSummary> groups =
+      voting.model_at(level).group_summaries(voting.deps_at(level));
   std::sort(groups.begin(), groups.end(),
             [](const auto& a, const auto& b) { return a.key < b.key; });
   return groups;
@@ -71,9 +72,12 @@ void expect_engines_equal(const AuricEngine& a, const AuricEngine& b) {
     ASSERT_EQ(ba.level_count(), bb.level_count());
     for (int level = 0; level < ba.level_count(); ++level) {
       SCOPED_TRACE("level " + std::to_string(level));
-      const auto ga = sorted_groups(ba.model_at(level));
-      const auto gb = sorted_groups(bb.model_at(level));
+      const auto ga = sorted_groups(ba, level);
+      const auto gb = sorted_groups(bb, level);
       ASSERT_EQ(ga.size(), gb.size());
+      // Emptied groups keep their ids but stop counting as live.
+      EXPECT_EQ(ba.model_at(level).group_count(), ga.size());
+      EXPECT_EQ(bb.model_at(level).group_count(), gb.size());
       for (std::size_t g = 0; g < ga.size(); ++g) {
         EXPECT_EQ(ga[g].key, gb[g].key);
         EXPECT_EQ(ga[g].winner, gb[g].winner);

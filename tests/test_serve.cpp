@@ -302,6 +302,19 @@ TEST(ServeDaemon, RecommendCarriesProvenanceFields) {
   EXPECT_NE(rec.body.find("\"source\":\""), std::string::npos);
   EXPECT_NE(rec.body.find("\"support\":"), std::string::npos);
   EXPECT_NE(rec.body.find("\"margin\":"), std::string::npos);
+  // Every entry reports its backoff level next to its source (-1 for a
+  // rule-book default).
+  std::size_t entries = 0, levels = 0;
+  for (std::size_t at = rec.body.find("\"param\":"); at != std::string::npos;
+       at = rec.body.find("\"param\":", at + 1)) {
+    ++entries;
+  }
+  for (std::size_t at = rec.body.find("\"level\":"); at != std::string::npos;
+       at = rec.body.find("\"level\":", at + 1)) {
+    ++levels;
+  }
+  EXPECT_GT(entries, 0u);
+  EXPECT_EQ(levels, entries);
 }
 
 TEST(ServeDaemon, RelearnAuditRidesTheResponseAndModelz) {

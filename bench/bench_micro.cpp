@@ -250,14 +250,15 @@ BENCHMARK(BM_ModelWatchRecommend);
 
 // --- Relearn: full rebuild vs incremental delta-apply ----------------------
 //
-// BM_RelearnFull prices the from-scratch learn the weekly relearn cadence
-// used to pay on every refresh. BM_RelearnIncremental toggles a resident
-// engine between the inventory and a day's worth of slot churn (one launch
-// cohort's reconfiguration), pricing AuricEngine::incremental_relearn — the
-// acceptance bar is >= 5x cheaper than the full rebuild on this world.
-// BM_RelearnParallel prices the full learn at 1 and 4 learn threads: output
-// is byte-identical at any width (test_relearn), so this arm is purely a
-// wall-clock observation (flat on the 1-core CI runner, scaling elsewhere).
+// BM_RelearnFull prices the serial from-scratch learn the weekly relearn
+// cadence used to pay on every refresh. BM_RelearnIncremental toggles a
+// resident engine between the inventory and a day's worth of slot churn (one
+// launch cohort's reconfiguration), pricing AuricEngine::incremental_relearn
+// serially too — the acceptance bar is >= 5x cheaper than the full rebuild
+// on this world. BM_RelearnParallel/4 prices the full learn at 4 learn
+// threads: output is byte-identical at any width (test_relearn), so this arm
+// is purely a wall-clock observation (flat on a 1-core runner, scaling
+// elsewhere).
 
 /// A day's churn: ~21 carriers re-homed onto another carrier's values across
 /// every singular column, plus the leading edges of every pairwise column.
@@ -282,8 +283,10 @@ config::ConfigAssignment day_churn(const World& w) {
 
 void BM_RelearnFull(benchmark::State& state) {
   const World& w = relearn_world();
+  core::AuricOptions options;
+  options.learn_threads = 1;
   for (auto _ : state) {
-    core::AuricEngine engine(w.topo, w.schema, w.catalog, w.assignment);
+    core::AuricEngine engine(w.topo, w.schema, w.catalog, w.assignment, options);
     benchmark::DoNotOptimize(&engine);
   }
 }
@@ -293,9 +296,11 @@ void BM_RelearnIncremental(benchmark::State& state) {
   const World& w = relearn_world();
   static core::AuricEngine engine(w.topo, w.schema, w.catalog, w.assignment);
   static const config::ConfigAssignment churned = day_churn(w);
+  core::IncrementalRelearnOptions serial;
+  serial.threads = 1;
   bool forward = true;
   for (auto _ : state) {
-    engine.incremental_relearn(forward ? churned : w.assignment);
+    engine.incremental_relearn(forward ? churned : w.assignment, serial);
     forward = !forward;
   }
 }
@@ -310,7 +315,7 @@ void BM_RelearnParallel(benchmark::State& state) {
     benchmark::DoNotOptimize(&engine);
   }
 }
-BENCHMARK(BM_RelearnParallel)->Arg(1)->Arg(4)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_RelearnParallel)->Arg(4)->Unit(benchmark::kMillisecond);
 
 // --- SmartLaunch push / sharded replay -------------------------------------
 //

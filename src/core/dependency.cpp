@@ -28,13 +28,36 @@ ContingencyState build_contingency(const ParamView& view,
   if (view.pairwise) {
     for (std::size_t a = 0; a < num_attrs; ++a) state.refs.push_back({true, a});
   }
+  const std::size_t rows = view.rows();
+  const std::size_t cols = view.labels.size();
+  for (std::size_t r = 0; r < rows; ++r) {
+    if (view.label[r] < 0 || static_cast<std::size_t>(view.label[r]) >= cols) {
+      throw std::out_of_range("build_contingency: label out of range");
+    }
+  }
+  // One table at a time, one pass over the subject column: the attribute's
+  // code column (one int per carrier) stays cache-resident while the rows
+  // stream, and each row lands on a flat cell.
   state.tables.reserve(state.refs.size());
   for (const AttrRef& ref : state.refs) {
-    state.tables.push_back(
-        ml::ContingencyTable::zeros(schema.cardinality(ref.attr), view.labels.size()));
-  }
-  for (std::size_t r = 0; r < view.rows(); ++r) {
-    state.apply(attr_codes, view.carrier[r], view.neighbor[r], view.label[r], 1);
+    const std::size_t card = schema.cardinality(ref.attr);
+    ml::ContingencyTable table = ml::ContingencyTable::zeros(card, cols);
+    const std::vector<netsim::AttrCode>& codes = attr_codes[ref.attr];
+    const std::vector<netsim::CarrierId>& subject =
+        ref.neighbor_side ? view.neighbor : view.carrier;
+    for (std::size_t r = 0; r < rows; ++r) {
+      if (subject[r] == netsim::kInvalidCarrier) {
+        throw std::logic_error("build_contingency: neighbor-side ref without a neighbor");
+      }
+      const netsim::AttrCode code = codes[static_cast<std::size_t>(subject[r])];
+      if (code < 0 || static_cast<std::size_t>(code) >= card) {
+        throw std::out_of_range("build_contingency: attribute code out of range");
+      }
+      const auto label = static_cast<std::size_t>(view.label[r]);
+      ++table.counts[static_cast<std::size_t>(code) * cols + label];
+    }
+    table.total = static_cast<std::int64_t>(rows);
+    state.tables.push_back(std::move(table));
   }
   return state;
 }

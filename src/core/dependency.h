@@ -72,7 +72,9 @@ struct ContingencyState {
 };
 
 /// Tallies `view` into fresh contingency tables (label dimension =
-/// view.labels.size(), row dimension = the schema cardinality of each attr).
+/// view.labels.size(), row dimension = the schema cardinality of each attr),
+/// one table at a time in a single pass over the rows. The counts equal a
+/// row-at-a-time ContingencyState::apply tally of the same rows.
 ContingencyState build_contingency(const ParamView& view,
                                    const std::vector<std::vector<netsim::AttrCode>>& attr_codes,
                                    const netsim::AttributeSchema& schema);

@@ -44,6 +44,13 @@ EngineMetrics& engine_metrics() {
   return m;
 }
 
+/// The learn fan-out width rule shared by AuricOptions::learn_threads and
+/// IncrementalRelearnOptions::threads: N > 0 runs N wide, otherwise one
+/// runner per core (util::worker_count()).
+std::size_t learn_width(int threads) {
+  return threads > 0 ? static_cast<std::size_t>(threads) : util::worker_count();
+}
+
 obs::Counter& recommendation_counter(RecommendationSource source) {
   static const auto counters = [] {
     std::array<obs::Counter*, 3> a{};
@@ -95,10 +102,11 @@ AuricEngine::AuricEngine(const netsim::Topology& topology, const netsim::Attribu
   // Parameters are independent; every build writes its own pre-sized slot,
   // so the fan-out below is byte-identical to the serial loop at any width.
   std::vector<std::optional<BackoffVoting>> voting_slots(n);
-  if (options_.learn_threads > 1 && n > 1) {
+  const std::size_t width = learn_width(options_.learn_threads);
+  if (width > 1 && n > 1) {
     // A private pool: the shared() pool's width belongs to the sharded
     // launch stream and must not steer how wide the learn fan-out runs.
-    util::TaskPool pool(static_cast<std::size_t>(options_.learn_threads) - 1);
+    util::TaskPool pool(width - 1);
     std::vector<std::function<void()>> tasks;
     tasks.reserve(n);
     for (std::size_t p = 0; p < n; ++p) {
@@ -120,16 +128,21 @@ void AuricEngine::learn_param(std::size_t p, const config::ConfigAssignment& ass
                               std::vector<std::optional<BackoffVoting>>& voting_slots) {
   EngineMetrics& metrics = engine_metrics();
   const auto param = static_cast<config::ParamId>(p);
+  // Each phase is both a histogram sample and a span; on a pool runner the
+  // span still parents under engine.learn (TaskPool carries the context).
   {
+    obs::ScopedSpan span("engine.learn.param_view");
     obs::ScopedTimer timer(metrics.phase_param_view);
     views_[p] = build_param_view(*topology_, *catalog_, assignment, param);
   }
   {
+    obs::ScopedSpan span("engine.learn.dependency");
     obs::ScopedTimer timer(metrics.phase_dependency);
     contingency_[p] = build_contingency(views_[p], *attr_codes_, *schema_);
     dependencies_[p] = dependencies_from_contingency(contingency_[p], dep_options);
   }
   {
+    obs::ScopedSpan span("engine.learn.voting");
     obs::ScopedTimer timer(metrics.phase_voting);
     voting_slots[p].emplace(views_[p], dependencies_[p].dependent, *attr_codes_,
                             options_.backoff_levels);
@@ -148,8 +161,9 @@ void AuricEngine::incremental_relearn(const config::ConfigAssignment& assignment
   }
   const std::size_t n = catalog_->size();
   std::vector<IncrementalRelearnStats> per_param(n);
-  if (options.threads > 1 && n > 1) {
-    util::TaskPool pool(static_cast<std::size_t>(options.threads) - 1);
+  const std::size_t width = learn_width(options.threads);
+  if (width > 1 && n > 1) {
+    util::TaskPool pool(width - 1);
     std::vector<std::function<void()>> tasks;
     tasks.reserve(n);
     for (std::size_t p = 0; p < n; ++p) {
@@ -363,13 +377,14 @@ bool AuricEngine::relearn_param(std::size_t p, const config::ConfigAssignment& a
     // Contingency: widen old -> mid, apply the deltas, compact mid -> final.
     const auto remap_columns = [](ml::ContingencyTable& table,
                                   std::span<const ml::ClassLabel> map, std::size_t new_cols) {
-      for (std::vector<std::int64_t>& row : table.counts) {
-        std::vector<std::int64_t> next(new_cols, 0);
-        for (std::size_t c = 0; c < row.size(); ++c) {
-          if (map[c] >= 0) next[static_cast<std::size_t>(map[c])] = row[c];
+      std::vector<std::int64_t> next(table.rows * new_cols, 0);
+      for (std::size_t r = 0; r < table.rows; ++r) {
+        for (std::size_t c = 0; c < table.cols; ++c) {
+          if (map[c] >= 0) next[r * new_cols + static_cast<std::size_t>(map[c])] = table.at(r, c);
         }
-        row = std::move(next);
       }
+      table.counts = std::move(next);
+      table.cols = new_cols;
     };
     const auto entity_ends = [&](std::size_t e) {
       if (view.pairwise) {

@@ -45,12 +45,14 @@ struct AuricOptions {
   int max_dependent = 14;
   /// Support-driven backoff depth (see BackoffVoting).
   int backoff_levels = 5;
-  /// Width of the per-parameter learn fan-out: > 1 builds the parameter
-  /// tables on a private util::TaskPool of that many runners. Parameters are
-  /// independent (the X2-locality argument of DESIGN.md §13 covers the learn
-  /// path) and every build writes into its own pre-sized slot, so any width
-  /// produces byte-identical models to the serial loop (CI-enforced).
-  int learn_threads = 1;
+  /// Width of the per-parameter learn fan-out: N > 0 runs N wide (1 = the
+  /// serial loop), <= 0 one runner per core (util::worker_count()). Wider
+  /// than 1 builds the parameter tables on a private util::TaskPool.
+  /// Parameters are independent (the X2-locality argument of DESIGN.md §13
+  /// covers the learn path) and every build writes into its own pre-sized
+  /// slot, so any width produces byte-identical models to the serial loop
+  /// (CI-enforced).
+  int learn_threads = 0;
 };
 
 /// How a relearn refreshes the engine — shared by `auric replay
@@ -97,9 +99,10 @@ struct IncrementalRelearnOptions {
   /// distribution moved even if the inventory barely did.
   const ModelWatch* watch = nullptr;
   double watch_alpha = 0.01;
-  /// Fan the per-parameter delta application across this many runners
-  /// (private pool; indexed slots keep any width byte-identical to 1).
-  int threads = 1;
+  /// Fan the per-parameter delta application across this many runners,
+  /// by AuricOptions::learn_threads' rule (<= 0 = one per core; private
+  /// pool; indexed slots keep any width byte-identical to 1).
+  int threads = 0;
 };
 
 /// What an incremental relearn actually did, for logs and tests.

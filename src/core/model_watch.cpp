@@ -126,8 +126,12 @@ void ModelWatch::roll_day() {
     std::int64_t prev_total = 0;
     for (std::int64_t c : st.prev_counts) prev_total += c;
     if (prev_total > 0 && today_total > 0) {
+      // Two rows (previous day, today) over the value domain.
       ml::ContingencyTable table;
-      table.counts = {st.prev_counts, today};
+      table.counts = st.prev_counts;
+      table.counts.insert(table.counts.end(), today.begin(), today.end());
+      table.rows = 2;
+      table.cols = st.domain;
       table.total = prev_total + today_total;
       p_value = ml::chi_square_test(table).p_value;
     }

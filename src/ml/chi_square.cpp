@@ -1,5 +1,7 @@
 #include "ml/chi_square.h"
 
+#include <math.h>  // lgamma_r
+
 #include <cmath>
 #include <stdexcept>
 
@@ -9,6 +11,14 @@ namespace {
 constexpr int kMaxIterations = 500;
 constexpr double kEpsilon = 1e-14;
 constexpr double kTiny = 1e-300;
+
+/// ln Gamma(a). lgamma_r, not std::lgamma: lgamma also writes the global
+/// `signgam`, a data race when the learn runs chi-square tests on several
+/// threads. Both compute the same value.
+double log_gamma(double a) {
+  int sign = 0;
+  return ::lgamma_r(a, &sign);
+}
 
 /// Series representation of P(a, x) (converges fast for x < a + 1).
 double gamma_p_series(double a, double x) {
@@ -21,7 +31,7 @@ double gamma_p_series(double a, double x) {
     sum += term;
     if (std::fabs(term) < std::fabs(sum) * kEpsilon) break;
   }
-  return sum * std::exp(-x + a * std::log(x) - std::lgamma(a));
+  return sum * std::exp(-x + a * std::log(x) - log_gamma(a));
 }
 
 /// Continued-fraction representation of Q(a, x) (for x >= a + 1), using the
@@ -43,7 +53,7 @@ double gamma_q_cf(double a, double x) {
     h *= delta;
     if (std::fabs(delta - 1.0) < kEpsilon) break;
   }
-  return h * std::exp(-x + a * std::log(x) - std::lgamma(a));
+  return h * std::exp(-x + a * std::log(x) - log_gamma(a));
 }
 }  // namespace
 
@@ -71,31 +81,32 @@ ContingencyTable ContingencyTable::build(std::span<const std::int32_t> x,
                                          std::span<const std::int32_t> y, std::size_t card_x,
                                          std::size_t card_y) {
   if (x.size() != y.size()) throw std::invalid_argument("ContingencyTable: size mismatch");
-  ContingencyTable table;
-  table.counts.assign(card_x, std::vector<std::int64_t>(card_y, 0));
+  ContingencyTable table = zeros(card_x, card_y);
   for (std::size_t i = 0; i < x.size(); ++i) {
     if (x[i] < 0 || static_cast<std::size_t>(x[i]) >= card_x || y[i] < 0 ||
         static_cast<std::size_t>(y[i]) >= card_y) {
       throw std::out_of_range("ContingencyTable: code out of range");
     }
-    ++table.counts[static_cast<std::size_t>(x[i])][static_cast<std::size_t>(y[i])];
-    ++table.total;
+    ++table.counts[static_cast<std::size_t>(x[i]) * card_y + static_cast<std::size_t>(y[i])];
   }
+  table.total = static_cast<std::int64_t>(x.size());
   return table;
 }
 
 ContingencyTable ContingencyTable::zeros(std::size_t card_x, std::size_t card_y) {
   ContingencyTable table;
-  table.counts.assign(card_x, std::vector<std::int64_t>(card_y, 0));
+  table.counts.assign(card_x * card_y, 0);
+  table.rows = card_x;
+  table.cols = card_y;
   return table;
 }
 
 void ContingencyTable::apply(std::int32_t x, std::int32_t y, std::int64_t delta) {
-  if (x < 0 || static_cast<std::size_t>(x) >= counts.size() || y < 0 ||
-      (counts.empty() || static_cast<std::size_t>(y) >= counts[0].size())) {
+  if (x < 0 || static_cast<std::size_t>(x) >= rows || y < 0 ||
+      static_cast<std::size_t>(y) >= cols) {
     throw std::out_of_range("ContingencyTable::apply: code out of range");
   }
-  std::int64_t& cell = counts[static_cast<std::size_t>(x)][static_cast<std::size_t>(y)];
+  std::int64_t& cell = counts[static_cast<std::size_t>(x) * cols + static_cast<std::size_t>(y)];
   cell += delta;
   total += delta;
   if (cell < 0 || total < 0) {
@@ -105,14 +116,15 @@ void ContingencyTable::apply(std::int32_t x, std::int32_t y, std::int64_t delta)
 
 ChiSquareResult chi_square_test(const ContingencyTable& table) {
   // Marginals, dropping empty rows/columns.
-  const std::size_t raw_rows = table.counts.size();
-  const std::size_t raw_cols = raw_rows == 0 ? 0 : table.counts[0].size();
+  const std::size_t raw_rows = table.rows;
+  const std::size_t raw_cols = raw_rows == 0 ? 0 : table.cols;
   std::vector<std::int64_t> row_sum(raw_rows, 0);
   std::vector<std::int64_t> col_sum(raw_cols, 0);
   for (std::size_t r = 0; r < raw_rows; ++r) {
+    const std::int64_t* row = table.counts.data() + r * raw_cols;
     for (std::size_t c = 0; c < raw_cols; ++c) {
-      row_sum[r] += table.counts[r][c];
-      col_sum[c] += table.counts[r][c];
+      row_sum[r] += row[c];
+      col_sum[c] += row[c];
     }
   }
   int rows = 0;
@@ -127,11 +139,12 @@ ChiSquareResult chi_square_test(const ContingencyTable& table) {
   double stat = 0.0;
   for (std::size_t r = 0; r < raw_rows; ++r) {
     if (row_sum[r] == 0) continue;
+    const std::int64_t* row = table.counts.data() + r * raw_cols;
     for (std::size_t c = 0; c < raw_cols; ++c) {
       if (col_sum[c] == 0) continue;
       const double expected =
           static_cast<double>(row_sum[r]) * static_cast<double>(col_sum[c]) / total;
-      const double diff = static_cast<double>(table.counts[r][c]) - expected;
+      const double diff = static_cast<double>(row[c]) - expected;
       stat += diff * diff / expected;
     }
   }

@@ -31,9 +31,16 @@ double regularized_gamma_q(double a, double x);
 double chi_square_sf(double x, int df);
 
 struct ContingencyTable {
-  /// counts[r][c] = observations with row-variable code r, column code c.
-  std::vector<std::vector<std::int64_t>> counts;
+  /// Row-major rows x cols counts: at(r, c) = counts[r * cols + c] =
+  /// observations with row-variable code r and column code c. The row count
+  /// is kept even when cols is 0 (an empty label alphabet), so a later
+  /// column splice widens every row.
+  std::vector<std::int64_t> counts;
+  std::size_t rows = 0;
+  std::size_t cols = 0;
   std::int64_t total = 0;
+
+  std::int64_t at(std::size_t r, std::size_t c) const { return counts[r * cols + c]; }
 
   /// Tallies the paired samples. x[i] in [0, card_x), y[i] in [0, card_y).
   static ContingencyTable build(std::span<const std::int32_t> x,

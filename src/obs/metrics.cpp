@@ -122,6 +122,8 @@ Histogram::Histogram(std::vector<double> bounds) : bounds_(std::move(bounds)) {
   for (std::size_t i = 0; i <= bounds_.size(); ++i) buckets_[i].store(0);
 }
 
+Histogram::~Histogram() { delete[] exemplars_.load(std::memory_order_acquire); }
+
 void Histogram::observe(double v) noexcept {
   const auto it = std::lower_bound(bounds_.begin(), bounds_.end(), v);
   const auto idx = static_cast<std::size_t>(it - bounds_.begin());
@@ -147,8 +149,8 @@ void Histogram::enable_exemplars() {
   while (ex_lock_.test_and_set(std::memory_order_acquire)) {
   }
   if (exemplars_.load(std::memory_order_relaxed) == nullptr) {
-    // Leaked on purpose: instruments are never destroyed while the registry
-    // lives, and a freed exemplar array would race lock-free readers.
+    // Never swapped or freed while the histogram lives, so lock-free readers
+    // that loaded the pointer keep a valid array.
     exemplars_.store(new HistogramExemplar[bounds_.size() + 1](), std::memory_order_release);
   }
   ex_lock_.clear(std::memory_order_release);

@@ -85,6 +85,9 @@ class Histogram {
  public:
   /// `bounds` must be non-empty and strictly increasing.
   explicit Histogram(std::vector<double> bounds);
+  /// Frees the exemplar array; no reader can hold it once the histogram is
+  /// being destroyed.
+  ~Histogram();
 
   void observe(double v) noexcept;
 
@@ -110,8 +113,8 @@ class Histogram {
   std::unique_ptr<std::atomic<std::uint64_t>[]> buckets_;  // bounds_.size() + 1
   std::atomic<std::uint64_t> count_{0};
   std::atomic<double> sum_{0.0};
-  /// Lazily allocated at enable_exemplars(), never freed while the
-  /// histogram lives (cached references stay valid); guarded by ex_lock_.
+  /// Lazily allocated at enable_exemplars(), freed only by ~Histogram()
+  /// (cached references stay valid while it lives); guarded by ex_lock_.
   std::atomic<HistogramExemplar*> exemplars_{nullptr};
   mutable std::atomic_flag ex_lock_ = ATOMIC_FLAG_INIT;
 };

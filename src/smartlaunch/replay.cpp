@@ -192,7 +192,7 @@ ReplayReport OperationReplay::run() {
   std::unique_ptr<core::AuricEngine> engine;
   std::unique_ptr<LaunchController> controller;
   core::AuricOptions engine_options;
-  engine_options.learn_threads = std::max(1, options_.relearn_threads);
+  engine_options.learn_threads = options_.relearn_threads;
   // The controller captures engine state at construction, so BOTH relearn
   // modes rebuild it; only the engine itself is refreshed in place in
   // incremental mode.
@@ -243,7 +243,7 @@ ReplayReport OperationReplay::run() {
       core::IncrementalRelearnOptions inc;
       inc.drift_threshold = options_.relearn_drift_threshold;
       inc.watch = watch_.get();
-      inc.threads = std::max(1, options_.relearn_threads);
+      inc.threads = options_.relearn_threads;
       engine->incremental_relearn(state_, inc);
       bind_controller();
     } else {

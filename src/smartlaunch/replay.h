@@ -112,9 +112,9 @@ struct ReplayOptions {
   /// guarantee makes indistinguishable from the maintained one).
   core::RelearnMode relearn_mode = core::RelearnMode::kFull;
   /// Width of the per-parameter fan-out inside a relearn (full build and
-  /// delta application both); 1 = the serial loop, byte-identical at any
-  /// width.
-  int relearn_threads = 1;
+  /// delta application both), by AuricOptions::learn_threads' rule: 1 = the
+  /// serial loop, <= 0 = one runner per core; byte-identical at any width.
+  int relearn_threads = 0;
   /// Incremental mode's escape hatch: every Nth relearn is a full rebuild
   /// anyway (0 = never), bounding any divergence an approximate
   /// relearn_drift_threshold > 0 could accumulate. Irrelevant for exactness

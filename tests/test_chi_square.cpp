@@ -41,10 +41,30 @@ TEST(ContingencyTable, CountsPairs) {
   const std::vector<std::int32_t> y{0, 1, 0, 1, 1};
   const ContingencyTable table = ContingencyTable::build(x, y, 2, 2);
   EXPECT_EQ(table.total, 5);
-  EXPECT_EQ(table.counts[0][0], 1);
-  EXPECT_EQ(table.counts[0][1], 1);
-  EXPECT_EQ(table.counts[1][0], 1);
-  EXPECT_EQ(table.counts[1][1], 2);
+  EXPECT_EQ(table.rows, 2u);
+  EXPECT_EQ(table.cols, 2u);
+  EXPECT_EQ(table.at(0, 0), 1);
+  EXPECT_EQ(table.at(0, 1), 1);
+  EXPECT_EQ(table.at(1, 0), 1);
+  EXPECT_EQ(table.at(1, 1), 2);
+  EXPECT_EQ(table.counts, (std::vector<std::int64_t>{1, 1, 1, 2}));  // row-major
+}
+
+TEST(ContingencyTable, ApplyMatchesBuildAndChecksItsInput) {
+  const std::vector<std::int32_t> x{0, 2, 1, 2, 2, 0};
+  const std::vector<std::int32_t> y{1, 0, 1, 1, 0, 0};
+  ContingencyTable table = ContingencyTable::zeros(3, 2);
+  for (std::size_t i = 0; i < x.size(); ++i) table.apply(x[i], y[i], 1);
+  const ContingencyTable built = ContingencyTable::build(x, y, 3, 2);
+  EXPECT_EQ(table.counts, built.counts);
+  EXPECT_EQ(table.total, built.total);
+
+  EXPECT_THROW(table.apply(3, 0, 1), std::out_of_range);
+  EXPECT_THROW(table.apply(-1, 0, 1), std::out_of_range);
+  EXPECT_THROW(table.apply(0, 2, 1), std::out_of_range);
+  EXPECT_THROW(table.apply(0, -1, 1), std::out_of_range);
+  EXPECT_THROW(table.apply(1, 0, -1), std::logic_error);  // cell (1, 0) is empty
+  EXPECT_THROW(ContingencyTable{}.apply(0, 0, 1), std::out_of_range);
 }
 
 TEST(ContingencyTable, RejectsBadInput) {
@@ -59,7 +79,9 @@ TEST(ContingencyTable, RejectsBadInput) {
 TEST(ChiSquareTest, HandComputedStatistic) {
   // Table: [[10, 20], [20, 10]]; expected all 15; chi2 = 4*25/15 = 6.667.
   ContingencyTable table;
-  table.counts = {{10, 20}, {20, 10}};
+  table.counts = {10, 20, 20, 10};
+  table.rows = 2;
+  table.cols = 2;
   table.total = 60;
   const ChiSquareResult result = chi_square_test(table);
   EXPECT_EQ(result.df, 1);
@@ -70,7 +92,9 @@ TEST(ChiSquareTest, HandComputedStatistic) {
 
 TEST(ChiSquareTest, EmptyRowsAndColumnsAreDropped) {
   ContingencyTable table;
-  table.counts = {{10, 0, 20}, {0, 0, 0}, {20, 0, 10}};
+  table.counts = {10, 0, 20, 0, 0, 0, 20, 0, 10};
+  table.rows = 3;
+  table.cols = 3;
   table.total = 60;
   const ChiSquareResult result = chi_square_test(table);
   EXPECT_EQ(result.df, 1);  // effectively 2x2 after dropping empties
@@ -79,7 +103,9 @@ TEST(ChiSquareTest, EmptyRowsAndColumnsAreDropped) {
 
 TEST(ChiSquareTest, DegenerateTableHasNoEvidence) {
   ContingencyTable one_column;
-  one_column.counts = {{5}, {7}};
+  one_column.counts = {5, 7};
+  one_column.rows = 2;
+  one_column.cols = 1;
   one_column.total = 12;
   const ChiSquareResult result = chi_square_test(one_column);
   EXPECT_EQ(result.df, 0);

@@ -1,6 +1,7 @@
 #include "core/dependency.h"
 
 #include <algorithm>
+#include <bit>
 
 #include <gtest/gtest.h>
 
@@ -118,6 +119,87 @@ TEST(Dependency, PairwiseTestsNeighborSideToo) {
   const DependencyModel model = learn_dependencies(view, f.codes, f.schema, {});
   EXPECT_EQ(model.tests.size(), 2 * f.schema.attribute_count());
   ASSERT_FALSE(model.dependent.empty());
+}
+
+/// A seeded assignment: the singular column mixes one attribute's code with
+/// noise and leaves ~1/8 of the slots unset; the pair-wise column does the
+/// same on the neighbor's side.
+config::ConfigAssignment seeded_assignment(const Fixture& f, std::uint64_t seed) {
+  util::Rng rng(seed);
+  const std::size_t morph = f.schema.index_of("morphology");
+  const std::size_t freq = f.schema.index_of("carrier_frequency");
+  const auto draw = [&rng](std::int32_t code, int domain) -> config::ValueIndex {
+    if (rng.bernoulli(0.125)) return config::kUnset;
+    if (rng.bernoulli(0.7)) return code % domain;
+    return static_cast<config::ValueIndex>(rng.uniform_int(0, domain - 1));
+  };
+  config::ConfigAssignment assignment;
+  assignment.singular.resize(1);
+  auto& s = assignment.singular[0];
+  s.cause.assign(f.topo.carrier_count(), config::Cause::kAttributeRule);
+  for (std::size_t c = 0; c < f.topo.carrier_count(); ++c) {
+    s.value.push_back(draw(f.codes[morph][c], 11));
+  }
+  s.intended = s.value;
+  assignment.pairwise.resize(1);
+  auto& p = assignment.pairwise[0];
+  p.cause.assign(f.topo.edge_count(), config::Cause::kAttributeRule);
+  for (const netsim::X2Edge& edge : f.topo.edges) {
+    p.value.push_back(draw(f.codes[freq][static_cast<std::size_t>(edge.to)], 21));
+  }
+  p.intended = p.value;
+  return assignment;
+}
+
+void expect_same_bits(const ml::ChiSquareResult& a, const ml::ChiSquareResult& b) {
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(a.statistic), std::bit_cast<std::uint64_t>(b.statistic));
+  EXPECT_EQ(a.df, b.df);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(a.p_value), std::bit_cast<std::uint64_t>(b.p_value));
+}
+
+// build_contingency tallies one table at a time over the subject column; the
+// oracle is the row-at-a-time ContingencyState::apply path incremental
+// relearn maintains. Every count, total and chi-square bit must agree.
+TEST(Contingency, OnePassTallyMatchesTheRowAtATimeOracle) {
+  Fixture f;
+  for (std::uint64_t seed : {5u, 17u, 29u}) {
+    const config::ConfigAssignment assignment = seeded_assignment(f, seed);
+    for (config::ParamId param : {0, 1}) {
+      const ParamView view = build_param_view(f.topo, f.catalog, assignment, param);
+      ASSERT_GT(view.rows(), 0u);
+      const ContingencyState built = build_contingency(view, f.codes, f.schema);
+
+      ContingencyState oracle;
+      oracle.refs = built.refs;
+      for (const AttrRef& ref : oracle.refs) {
+        oracle.tables.push_back(
+            ml::ContingencyTable::zeros(f.schema.cardinality(ref.attr), view.labels.size()));
+      }
+      for (std::size_t r = 0; r < view.rows(); ++r) {
+        oracle.apply(f.codes, view.carrier[r], view.neighbor[r], view.label[r], 1);
+      }
+
+      ASSERT_EQ(built.refs.size(), view.pairwise ? 2 * f.schema.attribute_count()
+                                                 : f.schema.attribute_count());
+      ASSERT_EQ(built.tables.size(), oracle.tables.size());
+      bool any_dependent = false;
+      for (std::size_t i = 0; i < built.tables.size(); ++i) {
+        SCOPED_TRACE("seed " + std::to_string(seed) + " param " + std::to_string(param) +
+                     " table " + std::to_string(i));
+        const ml::ContingencyTable& got = built.tables[i];
+        const ml::ContingencyTable& want = oracle.tables[i];
+        EXPECT_EQ(got.rows, want.rows);
+        EXPECT_EQ(got.cols, want.cols);
+        EXPECT_EQ(got.counts, want.counts);
+        EXPECT_EQ(got.total, want.total);
+        EXPECT_EQ(got.total, static_cast<std::int64_t>(view.rows()));
+        const ml::ChiSquareResult result = ml::chi_square_test(got);
+        expect_same_bits(result, ml::chi_square_test(want));
+        any_dependent = any_dependent || result.dependent(0.01);
+      }
+      EXPECT_TRUE(any_dependent);  // the planted attribute shows up
+    }
+  }
 }
 
 TEST(Dependency, AttrRefNames) {

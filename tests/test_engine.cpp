@@ -9,6 +9,7 @@
 
 #include "config/ground_truth.h"
 #include "core/model_watch.h"
+#include "obs/trace.h"
 #include "test_helpers.h"
 
 namespace auric::core {
@@ -264,6 +265,40 @@ TEST(AuricEngine, RulebookDefaultHasNoBackoffLevel) {
   ASSERT_EQ(rec.source, RecommendationSource::kRulebookDefault);
   EXPECT_EQ(rec.level, -1);
   EXPECT_EQ(engine.explain(rec, 0).find("level"), std::string::npos);
+}
+
+/// Per-parameter learn phases are spans under engine.learn, also when they
+/// run on the learn pool's runners (the pool carries the trace context).
+TEST(AuricEngine, LearnPhaseSpansNestUnderTheLearnAcrossThePool) {
+  const netsim::Topology topo = test::small_generated_topology(5, 2, 10);
+  const netsim::AttributeSchema schema = netsim::AttributeSchema::standard(topo);
+  const config::ParamCatalog catalog = config::ParamCatalog::standard();
+  const config::ConfigAssignment assignment =
+      config::GroundTruthModel(topo, schema, catalog).assign();
+  obs::TraceRecorder& recorder = obs::TraceRecorder::global();
+  recorder.clear();
+  AuricOptions options;
+  options.learn_threads = 4;
+  const AuricEngine engine(topo, schema, catalog, assignment, options);
+  const std::vector<obs::SpanRecord> spans = recorder.records();
+
+  const auto learn = std::find_if(spans.begin(), spans.end(), [](const obs::SpanRecord& s) {
+    return s.name == "engine.learn";
+  });
+  ASSERT_NE(learn, spans.end());
+  for (const char* phase :
+       {"engine.learn.param_view", "engine.learn.dependency", "engine.learn.voting"}) {
+    std::size_t count = 0;
+    for (const obs::SpanRecord& s : spans) {
+      if (s.name != phase) continue;
+      ++count;
+      EXPECT_EQ(s.parent, learn->id) << phase;
+      EXPECT_EQ(s.trace, learn->trace) << phase;
+      EXPECT_GE(s.start_ns, learn->start_ns) << phase;
+      EXPECT_LE(s.end_ns, learn->end_ns) << phase;
+    }
+    EXPECT_EQ(count, catalog.size()) << phase;
+  }
 }
 
 }  // namespace

@@ -175,6 +175,23 @@ TEST(IncrementalRelearn, NewValueSplicesJustThatParameterAlphabet) {
   expect_engines_equal(engine, AuricEngine(f.topo, f.schema, f.catalog, back, f.options()));
 }
 
+// A parameter learned with no configured slot has an empty label alphabet,
+// so its contingency tables have no columns; the first value to appear
+// widens them through the splice and must still land on a fresh build.
+TEST(IncrementalRelearn, FirstValueOfAnEmptyParameterSplicesExactly) {
+  Fixture f;
+  config::ConfigAssignment empty = f.assignment;
+  std::fill(empty.pairwise[0].value.begin(), empty.pairwise[0].value.end(), config::kUnset);
+  AuricEngine engine(f.topo, f.schema, f.catalog, empty, f.options());
+  ASSERT_EQ(engine.view(1).rows(), 0u);
+
+  engine.incremental_relearn(f.assignment);
+  expect_engines_equal(engine, AuricEngine(f.topo, f.schema, f.catalog, f.assignment,
+                                           f.options()));
+  engine.incremental_relearn(empty);
+  expect_engines_equal(engine, AuricEngine(f.topo, f.schema, f.catalog, empty, f.options()));
+}
+
 TEST(IncrementalRelearn, RepeatedDeltasStayExactOverManyRounds) {
   Fixture f;
   AuricEngine engine(f.topo, f.schema, f.catalog, f.assignment, f.options());
@@ -263,6 +280,7 @@ TEST(IncrementalRelearn, ModelWatchDriftUnionTriggersTheRetest) {
 TEST(IncrementalRelearn, ParallelLearnAndRelearnAreByteIdentical) {
   Fixture f;
   AuricOptions serial = f.options();
+  serial.learn_threads = 1;
   AuricOptions wide = f.options();
   wide.learn_threads = 4;
   AuricEngine engine1(f.topo, f.schema, f.catalog, f.assignment, serial);

@@ -32,7 +32,8 @@
 //       (the `auric modeldiff` input). --relearn-mode incremental applies the
 //       days' slot deltas to the engine in place instead of rebuilding every
 //       table (byte-identical weekly output at the default drift threshold);
-//       --relearn-threads fans the per-parameter work out (also byte-exact).
+//       --relearn-threads sets the per-parameter fan-out (default: one
+//       runner per core; 1 = serial; byte-exact at any width).
 //       With --serve-metrics the live plane
 //       additionally exposes /modelz: the ModelWatch model-quality document.
 //       SIGTERM/SIGINT drain gracefully: the current day finishes, a final
@@ -280,8 +281,9 @@ int cmd_replay(util::Args& args, util::LivePlaneScope& live) {
       "relearn path: full rebuilds every table; incremental applies the days' slot deltas "
       "in place (byte-identical weekly output at the default drift threshold)");
   options.relearn_threads = static_cast<int>(args.get_int(
-      "relearn-threads", 1,
-      "per-parameter fan-out width inside a relearn (byte-identical at any width)"));
+      "relearn-threads", 0,
+      "per-parameter fan-out width inside a relearn, 0 = one per core (byte-identical at "
+      "any width)"));
   options.full_rebuild_every = static_cast<int>(args.get_int(
       "full-rebuild-every", options.full_rebuild_every,
       "incremental mode: every Nth relearn is a full rebuild anyway (0 = never)"));

@@ -4,6 +4,7 @@
 #include <benchmark/benchmark.h>
 
 #include <filesystem>
+#include <set>
 
 #include "config/ground_truth.h"
 #include "io/launch_state.h"
@@ -381,16 +382,20 @@ BENCHMARK(BM_ShardedReplay)->Arg(1)->Arg(4)->Arg(8)->Unit(benchmark::kMillisecon
 
 // --- Checkpoint persistence -------------------------------------------------
 //
-// Both arms price one save() of a GROWN state image (a multi-week window's
+// The arms price one save() of a GROWN state image (a multi-week window's
 // accumulated journal/quarantine/slot deltas) after a small per-iteration
-// mutation — the shape every post-launch checkpoint has. The journal arm
-// appends only the delta; the rewrite arm re-serializes the full image.
-// bytes_per_save (from auric_checkpoint_bytes_total) is the honest metric:
-// the journal layout must land >= 5x fewer bytes, and wall time follows.
-// fsync is off in both arms so the comparison prices serialization + write
-// volume, not the (noisy, device-bound) flush cost.
+// mutation — the shape every post-launch checkpoint has. Like the replay,
+// each save hands the store only the slots written since the last one; the
+// store keeps the slot images. The journal arm appends only the delta; the
+// rewrite arm re-serializes the full image. bytes_per_save (from
+// auric_checkpoint_bytes_total) is the honest metric: the journal layout
+// must land >= 5x fewer bytes, and wall time follows. fsync is off in every
+// arm so the comparison prices serialization + write volume, not the
+// (noisy, device-bound) flush cost.
 
-io::LaunchState grown_launch_state() {
+/// A grown state whose slot image holds `slots` writes (given as writes
+/// over an empty store, which is how the first save takes them).
+io::LaunchState grown_launch_state(std::size_t slots) {
   io::LaunchState s;
   for (int c = 0; c < 2000; ++c) {
     s.journal.emplace_back(static_cast<netsim::CarrierId>(c),
@@ -399,11 +404,11 @@ io::LaunchState grown_launch_state() {
   for (int c = 0; c < 500; ++c) {
     s.quarantine.emplace_back(static_cast<netsim::CarrierId>(c * 4), 1 + c % 3);
   }
-  for (int e = 0; e < 1500; ++e) {
+  for (std::size_t e = 0; e < slots; ++e) {
     io::LaunchState::SlotWrite w;
     w.param_pos = 0;
     w.entity = static_cast<std::uint64_t>(e);
-    w.value = e % 11;
+    w.value = static_cast<std::int32_t>(e % 11);
     s.applied_slots.push_back(w);
   }
   s.relearn_applied_slots = s.applied_slots;
@@ -412,21 +417,31 @@ io::LaunchState grown_launch_state() {
   return s;
 }
 
-/// One day's worth of churn: a handful of journal offsets, one quarantine
-/// bump, a few fresh slot writes and the progress counters.
-void mutate_launch_state(io::LaunchState& s, std::uint64_t step) {
+/// One launch's worth of churn: a handful of journal offsets, one
+/// quarantine bump, the progress counters and `written` fresh values in
+/// `image` — the only slots this save hands the store.
+void mutate_launch_state(io::LaunchState& s, std::vector<io::LaunchState::SlotWrite>& image,
+                         std::uint64_t step, std::size_t written) {
   for (int k = 0; k < 4; ++k) {
     auto& entry = s.journal[(step * 97 + static_cast<std::uint64_t>(k) * 13) % s.journal.size()];
     entry.second += 1;
   }
   s.quarantine[step % s.quarantine.size()].second += 1;
-  auto& slot = s.applied_slots[(step * 31) % s.applied_slots.size()];
-  slot.value = static_cast<std::int32_t>((slot.value + 1) % 11);
+  std::set<std::size_t> picked;
+  for (std::size_t k = 0; picked.size() < written; ++k) {
+    picked.insert((step * 31 + k * 97) % image.size());
+  }
+  s.applied_slots.clear();
+  for (const std::size_t i : picked) {  // ascending index == ascending key
+    image[i].value = static_cast<std::int32_t>((image[i].value + 1) % 11);
+    s.applied_slots.push_back(image[i]);
+  }
   s.ems.pushes_executed += 3;
   s.progress[1].second = std::to_string(880 + step);
 }
 
-void run_checkpoint_bench(benchmark::State& state, bool journal) {
+void run_checkpoint_bench(benchmark::State& state, bool journal, std::size_t slots,
+                          std::size_t written) {
   const std::string dir =
       (std::filesystem::temp_directory_path() /
        (journal ? "auric_bench_ckpt_journal" : "auric_bench_ckpt_rewrite"))
@@ -436,14 +451,16 @@ void run_checkpoint_bench(benchmark::State& state, bool journal) {
   options.journal = journal;
   options.fsync = false;
   const io::LaunchStateStore store(dir, options);
-  io::LaunchState image = grown_launch_state();
+  io::LaunchState image = grown_launch_state(slots);
   store.save(image);  // prime: the baseline snapshot is not what we price
+  std::vector<io::LaunchState::SlotWrite> slot_image = std::move(image.applied_slots);
+  image.relearn_applied_slots.clear();
   obs::Counter& bytes =
       obs::MetricsRegistry::global().counter("auric_checkpoint_bytes_total");
   const std::uint64_t bytes_before = bytes.value();
   std::uint64_t step = 0;
   for (auto _ : state) {
-    mutate_launch_state(image, ++step);
+    mutate_launch_state(image, slot_image, ++step, written);
     store.save(image);
   }
   state.counters["bytes_per_save"] = benchmark::Counter(
@@ -453,14 +470,22 @@ void run_checkpoint_bench(benchmark::State& state, bool journal) {
 }
 
 void BM_CheckpointJournal(benchmark::State& state) {
-  run_checkpoint_bench(state, /*journal=*/true);
+  run_checkpoint_bench(state, /*journal=*/true, /*slots=*/1500, /*written=*/1);
 }
 BENCHMARK(BM_CheckpointJournal)->Unit(benchmark::kMicrosecond);
 
 void BM_CheckpointRewrite(benchmark::State& state) {
-  run_checkpoint_bench(state, /*journal=*/false);
+  run_checkpoint_bench(state, /*journal=*/false, /*slots=*/1500, /*written=*/1);
 }
 BENCHMARK(BM_CheckpointRewrite)->Unit(benchmark::kMicrosecond);
+
+/// Ten slots written per save into a 2K- or 25K-slot image: the cost of a
+/// journal save must not grow with the image.
+void BM_CheckpointJournalImage(benchmark::State& state) {
+  run_checkpoint_bench(state, /*journal=*/true, static_cast<std::size_t>(state.range(0)),
+                       /*written=*/10);
+}
+BENCHMARK(BM_CheckpointJournalImage)->Arg(2000)->Arg(25000)->Unit(benchmark::kMicrosecond);
 
 // --- Observability primitives ---------------------------------------------
 //

@@ -5,6 +5,7 @@
 #include <deque>
 #include <stdexcept>
 
+#include "obs/trace.h"
 #include "util/rng.h"
 
 namespace auric::config {
@@ -393,6 +394,7 @@ void GroundTruthModel::assign_pairwise(std::size_t pi, const X2Edge& edge, Value
 }
 
 ConfigAssignment GroundTruthModel::assign() const {
+  obs::ScopedSpan span("config.assign");
   ConfigAssignment out;
   const std::size_t n_carriers = topology_.carrier_count();
   const std::size_t n_edges = topology_.edge_count();

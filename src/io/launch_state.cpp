@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
-#include <functional>
 #include <iterator>
 #include <limits>
 #include <map>
@@ -111,8 +110,8 @@ std::string shard_file(const char* file, int shard) {
 }
 
 /// Stream id of a per-shard block: "journal" flat, "journal.2" for shard 2.
-std::string block_id(const char* base, int shard) {
-  if (shard < 0) return base;
+std::string block_id(std::string_view base, int shard) {
+  if (shard < 0) return std::string(base);
   return std::string(base) + "." + std::to_string(shard);
 }
 
@@ -322,33 +321,32 @@ std::string diff_breaker(const util::CircuitBreaker::Snapshot* prev_p,
 }
 
 using SlotKey = std::tuple<bool, std::uint32_t, std::uint64_t>;
+using SlotMap = std::map<SlotKey, std::int32_t>;
 
 SlotKey slot_key(const LaunchState::SlotWrite& w) {
   return {w.pairwise, w.param_pos, w.entity};
 }
 
-std::string diff_slots(const std::vector<LaunchState::SlotWrite>* prev_p,
-                       const std::vector<LaunchState::SlotWrite>& next) {
-  static const std::vector<LaunchState::SlotWrite> kEmpty;
-  const auto& prev = prev_p != nullptr ? *prev_p : kEmpty;
+void add_slot_upsert(std::string& ops, const SlotKey& key, std::int32_t value) {
+  add_op(ops, {"u", std::get<0>(key) ? "1" : "0", std::to_string(std::get<1>(key)),
+               std::to_string(std::get<2>(key)), std::to_string(value)});
+}
+
+/// Ordered diff of two whole slot images (`e` erases, `u` upserts).
+std::string diff_slot_images(const SlotMap& prev, const SlotMap& next) {
   std::string ops;
-  const auto upsert = [&ops](const LaunchState::SlotWrite& w) {
-    add_op(ops, {"u", w.pairwise ? "1" : "0", std::to_string(w.param_pos),
-                 std::to_string(w.entity), std::to_string(w.value)});
-  };
-  std::size_t i = 0;
-  std::size_t j = 0;
-  while (i < prev.size() || j < next.size()) {
-    if (j == next.size() || (i < prev.size() && slot_key(prev[i]) < slot_key(next[j]))) {
-      const LaunchState::SlotWrite& w = prev[i];
-      add_op(ops, {"e", w.pairwise ? "1" : "0", std::to_string(w.param_pos),
-                   std::to_string(w.entity)});
+  auto i = prev.begin();
+  auto j = next.begin();
+  while (i != prev.end() || j != next.end()) {
+    if (j == next.end() || (i != prev.end() && i->first < j->first)) {
+      add_op(ops, {"e", std::get<0>(i->first) ? "1" : "0", std::to_string(std::get<1>(i->first)),
+                   std::to_string(std::get<2>(i->first))});
       ++i;
-    } else if (i == prev.size() || slot_key(next[j]) < slot_key(prev[i])) {
-      upsert(next[j]);
+    } else if (i == prev.end() || j->first < i->first) {
+      add_slot_upsert(ops, j->first, j->second);
       ++j;
     } else {
-      if (prev[i].value != next[j].value) upsert(next[j]);
+      if (i->second != j->second) add_slot_upsert(ops, j->first, j->second);
       ++i;
       ++j;
     }
@@ -356,13 +354,18 @@ std::string diff_slots(const std::vector<LaunchState::SlotWrite>* prev_p,
   return ops;
 }
 
-/// One persisted stream: its id and the delta serializer (prev == nullptr
-/// produces the full snapshot). The set and order of streams is a pure
-/// function of the shard count, which is why the shard count lives in the
-/// committed progress.csv.
+void overlay_slots(SlotMap& image, const std::vector<LaunchState::SlotWrite>& writes) {
+  for (const LaunchState::SlotWrite& w : writes) image.insert_or_assign(slot_key(w), w.value);
+}
+
+/// One persisted stream: its id ("journal.2", "applied"), its kind ("journal")
+/// and its shard (-1 for the flat layout and the global slot streams). The
+/// set and order of streams is a pure function of the shard count, which is
+/// why the shard count lives in the committed progress.csv.
 struct StreamDef {
   std::string id;
-  std::function<std::string(const LaunchState*, const LaunchState&)> ops;
+  std::string_view kind;
+  int shard = -1;
 };
 
 std::vector<StreamDef> stream_defs(std::size_t shard_count) {
@@ -370,66 +373,42 @@ std::vector<StreamDef> stream_defs(std::size_t shard_count) {
   const int blocks = shard_count == 0 ? 1 : static_cast<int>(shard_count);
   for (int b = 0; b < blocks; ++b) {
     const int shard = shard_count == 0 ? -1 : b;
-    const auto shard_of = [shard](const LaunchState& s) -> const LaunchState::ShardState* {
-      return shard < 0 ? nullptr : &s.shards[static_cast<std::size_t>(shard)];
-    };
-    defs.push_back({block_id("journal", shard),
-                    [shard_of](const LaunchState* p, const LaunchState& n) {
-                      const auto* block = shard_of(n);
-                      const auto& next = block != nullptr ? block->journal : n.journal;
-                      const auto* prev =
-                          p == nullptr ? nullptr
-                                       : (block != nullptr ? &shard_of(*p)->journal : &p->journal);
-                      return diff_map(prev, next);
-                    }});
-    defs.push_back({block_id("deferred", shard),
-                    [shard_of](const LaunchState* p, const LaunchState& n) {
-                      const auto* block = shard_of(n);
-                      const auto& next = block != nullptr ? block->deferred : n.deferred;
-                      const auto* prev =
-                          p == nullptr
-                              ? nullptr
-                              : (block != nullptr ? &shard_of(*p)->deferred : &p->deferred);
-                      return diff_queue(prev, next);
-                    }});
-    defs.push_back({block_id("quarantine", shard),
-                    [shard_of](const LaunchState* p, const LaunchState& n) {
-                      const auto* block = shard_of(n);
-                      const auto& next = block != nullptr ? block->quarantine : n.quarantine;
-                      const auto* prev =
-                          p == nullptr
-                              ? nullptr
-                              : (block != nullptr ? &shard_of(*p)->quarantine : &p->quarantine);
-                      return diff_map(prev, next);
-                    }});
-    defs.push_back({block_id("breaker", shard),
-                    [shard_of](const LaunchState* p, const LaunchState& n) {
-                      const auto* block = shard_of(n);
-                      const auto& next = block != nullptr ? block->breaker : n.breaker;
-                      const auto* prev =
-                          p == nullptr ? nullptr
-                                       : (block != nullptr ? &shard_of(*p)->breaker : &p->breaker);
-                      return diff_breaker(prev, next);
-                    }});
-    defs.push_back({block_id("ems", shard),
-                    [shard_of](const LaunchState* p, const LaunchState& n) {
-                      const auto* block = shard_of(n);
-                      const auto& next = block != nullptr ? block->ems : n.ems;
-                      const auto* prev =
-                          p == nullptr ? nullptr
-                                       : (block != nullptr ? &shard_of(*p)->ems : &p->ems);
-                      return diff_ems(prev, next);
-                    }});
+    for (const std::string_view kind : {"journal", "deferred", "quarantine", "breaker", "ems"}) {
+      defs.push_back({block_id(kind, shard), kind, shard});
+    }
   }
-  defs.push_back({"applied", [](const LaunchState* p, const LaunchState& n) {
-                    return diff_slots(p == nullptr ? nullptr : &p->applied_slots,
-                                      n.applied_slots);
-                  }});
-  defs.push_back({"relearn", [](const LaunchState* p, const LaunchState& n) {
-                    return diff_slots(p == nullptr ? nullptr : &p->relearn_applied_slots,
-                                      n.relearn_applied_slots);
-                  }});
+  defs.push_back({"applied", "applied", -1});
+  defs.push_back({"relearn", "relearn", -1});
   return defs;
+}
+
+/// The five per-shard fields of a state, flat or shard `shard`; all null
+/// for a null state.
+struct BlockView {
+  const std::vector<std::pair<netsim::CarrierId, std::uint64_t>>* journal = nullptr;
+  const std::vector<netsim::CarrierId>* deferred = nullptr;
+  const std::vector<std::pair<netsim::CarrierId, int>>* quarantine = nullptr;
+  const util::CircuitBreaker::Snapshot* breaker = nullptr;
+  const LaunchState::EmsState* ems = nullptr;
+};
+
+BlockView block_of(const LaunchState* s, int shard) {
+  if (s == nullptr) return {};
+  if (shard < 0) return {&s->journal, &s->deferred, &s->quarantine, &s->breaker, &s->ems};
+  const LaunchState::ShardState& b = s->shards[static_cast<std::size_t>(shard)];
+  return {&b.journal, &b.deferred, &b.quarantine, &b.breaker, &b.ems};
+}
+
+/// Ops of one per-shard block stream that turn `prev` into `next`;
+/// prev == nullptr produces the full snapshot.
+std::string block_ops(const StreamDef& s, const LaunchState* prev, const LaunchState& next) {
+  const BlockView was = block_of(prev, s.shard);
+  const BlockView now = block_of(&next, s.shard);
+  if (s.kind == "journal") return diff_map(was.journal, *now.journal);
+  if (s.kind == "deferred") return diff_queue(was.deferred, *now.deferred);
+  if (s.kind == "quarantine") return diff_map(was.quarantine, *now.quarantine);
+  if (s.kind == "breaker") return diff_breaker(was.breaker, *now.breaker);
+  return diff_ems(was.ems, *now.ems);
 }
 
 // --- Op record replay -----------------------------------------------------
@@ -570,7 +549,7 @@ void apply_ems_op(const std::string& ctx, const std::vector<std::string>& f,
 }
 
 void apply_slots_op(const std::string& ctx, const std::vector<std::string>& f,
-                    std::map<SlotKey, std::int32_t>& slots) {
+                    SlotMap& slots) {
   const auto key_of = [&] {
     return SlotKey{to_int(ctx, f[1], 0, 1) != 0,
                    static_cast<std::uint32_t>(
@@ -589,13 +568,6 @@ void apply_slots_op(const std::string& ctx, const std::vector<std::string>& f,
   } else {
     throw std::invalid_argument(ctx + ": unknown op '" + f[0] + "'");
   }
-}
-
-/// Base name of a stream id ("journal.2" -> "journal").
-std::string_view stream_base(const std::string& id) {
-  const std::size_t dot = id.find('.');
-  return dot == std::string::npos ? std::string_view(id)
-                                  : std::string_view(id).substr(0, dot);
 }
 
 // --- Legacy (rewrite-layout) serialization --------------------------------
@@ -818,6 +790,54 @@ void require_sorted_slots(const char* what, const std::vector<LaunchState::SlotW
 
 }  // namespace
 
+/// One slot stream in a save: the new image is `base` overlaid with
+/// `writes`. `base` is the committed image itself except after a re-learn,
+/// which replaces the image wholesale (and then carries no writes).
+struct LaunchStateStore::SlotUpdate {
+  const SlotMap& committed;
+  const SlotMap& base;
+  const std::vector<LaunchState::SlotWrite>& writes;
+
+  /// Every slot of the new image in key order: a merge of base and writes.
+  template <typename F>
+  void for_each(F f) const {
+    auto i = base.begin();
+    auto j = writes.begin();
+    while (i != base.end() || j != writes.end()) {
+      if (j == writes.end() || (i != base.end() && i->first < slot_key(*j))) {
+        f(i->first, i->second);
+        ++i;
+      } else {
+        const SlotKey key = slot_key(*j);
+        if (i != base.end() && i->first == key) ++i;
+        f(key, j->value);
+        ++j;
+      }
+    }
+  }
+
+  /// Ops taking the committed image to the new one. Over the committed
+  /// base these are the written slots whose value changed, in key order:
+  /// O(writes), not O(image).
+  std::string delta() const {
+    if (&base != &committed) return diff_slot_images(committed, base);
+    std::string ops;
+    for (const LaunchState::SlotWrite& w : writes) {
+      const auto it = committed.find(slot_key(w));
+      if (it == committed.end() || it->second != w.value) {
+        add_slot_upsert(ops, slot_key(w), w.value);
+      }
+    }
+    return ops;
+  }
+
+  std::string snapshot() const {
+    std::string ops;
+    for_each([&ops](const SlotKey& key, std::int32_t value) { add_slot_upsert(ops, key, value); });
+    return ops;
+  }
+};
+
 const std::string* LaunchState::find_progress(const std::string& key) const {
   for (const auto& [k, v] : progress) {
     if (k == key) return &v;
@@ -861,17 +881,6 @@ void LaunchStateStore::save(const LaunchState& state) const {
       }
     }
   }
-  CheckpointMetrics& metrics = checkpoint_metrics();
-  obs::ScopedTimer timer(metrics.latency_seconds);
-  std::filesystem::create_directories(dir_);
-  if (options_.journal) {
-    save_journal(state);
-  } else {
-    save_rewrite(state);
-  }
-}
-
-void LaunchStateStore::save_journal(const LaunchState& state) const {
   // Journal replay reconstructs keyed streams through ordered maps, so the
   // diffed input must already be in map order or resume would not be
   // bit-identical.
@@ -884,6 +893,49 @@ void LaunchStateStore::save_journal(const LaunchState& state) const {
   require_sorted_slots("applied_slots", state.applied_slots);
   require_sorted_slots("relearn_applied_slots", state.relearn_applied_slots);
 
+  CheckpointMetrics& metrics = checkpoint_metrics();
+  obs::ScopedTimer timer(metrics.latency_seconds);
+  std::filesystem::create_directories(dir_);
+  const bool scan = scan_pending_;
+  scan_pending_ = true;  // until this save's cleanup has run
+
+  // A pending re-learn replaces the relearn image wholesale: the applied
+  // image as last committed, then this save's relearn writes.
+  SlotMap relearn_next;
+  if (relearn_pending_) {
+    relearn_next = applied_;
+    overlay_slots(relearn_next, state.relearn_applied_slots);
+  }
+  static const std::vector<LaunchState::SlotWrite> kNoWrites;
+  const SlotUpdate applied{applied_, applied_, state.applied_slots};
+  const SlotUpdate relearn{relearn_, relearn_pending_ ? relearn_next : relearn_,
+                           relearn_pending_ ? kNoWrites : state.relearn_applied_slots};
+
+  const bool renamed = options_.journal ? save_journal(state, applied, relearn)
+                                        : save_rewrite(state, applied, relearn);
+
+  // Committed: from here on the in-memory cache must describe the new
+  // checkpoint even if the trailing durability / cleanup steps throw.
+  overlay_slots(applied_, state.applied_slots);
+  if (relearn_pending_) {
+    relearn_ = std::move(relearn_next);
+    relearn_pending_ = false;
+  } else {
+    overlay_slots(relearn_, state.relearn_applied_slots);
+  }
+
+  if (options_.fsync) FaultFs::global().sync_dir(kPtDirFsync, dir_);
+  // Appends and the progress.csv rename leave nothing behind; only snapshot
+  // generations, or files from before this store's last commit, need the
+  // directory scan.
+  if (scan || renamed) cleanup_unreferenced();
+  scan_pending_ = false;
+}
+
+void LaunchStateStore::mark_relearn() const { relearn_pending_ = true; }
+
+bool LaunchStateStore::save_journal(const LaunchState& state, const SlotUpdate& applied,
+                                    const SlotUpdate& relearn) const {
   FaultFs& fs = FaultFs::global();
   CheckpointMetrics& metrics = checkpoint_metrics();
   const std::size_t shard_count = state.shards.size();
@@ -919,8 +971,15 @@ void LaunchStateStore::save_journal(const LaunchState& state) const {
     fresh_gen = max_gen + 1;
   }
 
+  // Ops of stream `s`: the delta against the committed checkpoint, or with
+  // `snapshot` the full image. Slot streams come from the store's images.
+  const auto stream_ops = [&](const StreamDef& s, bool snapshot) {
+    if (s.kind == "applied") return snapshot ? applied.snapshot() : applied.delta();
+    if (s.kind == "relearn") return snapshot ? relearn.snapshot() : relearn.delta();
+    return block_ops(s, snapshot ? nullptr : &last_, state);
+  };
   const auto snapshot_stream = [&](const StreamDef& s, std::uint64_t gen) {
-    const std::string body = std::string(kOpHeader) + s.ops(nullptr, state);
+    const std::string body = std::string(kOpHeader) + stream_ops(s, true);
     bytes += write_atomic(dir_, log_file_name(s.id, gen), body, options_.fsync,
                           kPtSnapshotWrite, kPtSnapshotFsync, kPtSnapshotRename);
     logs[s.id] = StreamLog{gen, body.size(), body.size()};
@@ -936,7 +995,7 @@ void LaunchStateStore::save_journal(const LaunchState& state) const {
     if (it == logs.end()) {
       throw std::logic_error("LaunchStateStore: no journal bookkeeping for stream " + s.id);
     }
-    const std::string ops = s.ops(&last_, state);
+    const std::string ops = stream_ops(s, false);
     if (ops.empty()) continue;
     StreamLog& lg = it->second;
     const std::uint64_t tail = lg.sealed_bytes - lg.snapshot_bytes + ops.size();
@@ -992,22 +1051,19 @@ void LaunchStateStore::save_journal(const LaunchState& state) const {
   bytes += write_atomic(dir_, kProgressFile, csv_body({"key", "value"}, rows), options_.fsync,
                         kPtProgressWrite, kPtProgressFsync, kPtProgressRename);
 
-  // Committed: from here on the in-memory cache must describe the new
-  // checkpoint even if the trailing durability / cleanup steps throw.
   logs_ = std::move(logs);
-  last_ = state;
+  last_ = state;  // the slot fields are the writes, not the images: unused
   primed_ = true;
   metrics.writes.inc();
   metrics.bytes.inc(bytes);
   metrics.appends.inc(appends);
   metrics.append_bytes.inc(append_bytes);
   metrics.compactions.inc(compactions);
-
-  if (options_.fsync) fs.sync_dir(kPtDirFsync, dir_);
-  cleanup_unreferenced();
+  return renamed_any;
 }
 
-void LaunchStateStore::save_rewrite(const LaunchState& state) const {
+bool LaunchStateStore::save_rewrite(const LaunchState& state, const SlotUpdate& applied,
+                                    const SlotUpdate& relearn) const {
   FaultFs& fs = FaultFs::global();
   CheckpointMetrics& metrics = checkpoint_metrics();
   std::uintmax_t bytes = 0;
@@ -1023,22 +1079,19 @@ void LaunchStateStore::save_rewrite(const LaunchState& state) const {
     }
   }
 
-  const auto slot_rows = [](const std::vector<LaunchState::SlotWrite>& writes) {
+  const auto slot_rows = [](const SlotUpdate& slots) {
     std::vector<std::vector<std::string>> out;
-    out.reserve(writes.size());
-    for (const LaunchState::SlotWrite& w : writes) {
-      out.push_back({w.pairwise ? "1" : "0", std::to_string(w.param_pos),
-                     std::to_string(w.entity), std::to_string(w.value)});
-    }
+    slots.for_each([&out](const SlotKey& key, std::int32_t value) {
+      out.push_back({std::get<0>(key) ? "1" : "0", std::to_string(std::get<1>(key)),
+                     std::to_string(std::get<2>(key)), std::to_string(value)});
+    });
     return out;
   };
-  bytes += write_atomic(
-      dir_, kAppliedFile,
-      csv_body({"pairwise", "param_pos", "entity", "value"}, slot_rows(state.applied_slots)),
-      options_.fsync, kPtRewriteWrite, kPtRewriteFsync, kPtRewriteRename);
+  bytes += write_atomic(dir_, kAppliedFile,
+                        csv_body({"pairwise", "param_pos", "entity", "value"}, slot_rows(applied)),
+                        options_.fsync, kPtRewriteWrite, kPtRewriteFsync, kPtRewriteRename);
   bytes += write_atomic(dir_, kRelearnFile,
-                        csv_body({"pairwise", "param_pos", "entity", "value"},
-                                 slot_rows(state.relearn_applied_slots)),
+                        csv_body({"pairwise", "param_pos", "entity", "value"}, slot_rows(relearn)),
                         options_.fsync, kPtRewriteWrite, kPtRewriteFsync, kPtRewriteRename);
 
   // Make every block rename durable before committing a progress.csv that
@@ -1065,9 +1118,7 @@ void LaunchStateStore::save_rewrite(const LaunchState& state) const {
   primed_ = false;
   metrics.writes.inc();
   metrics.bytes.inc(bytes);
-
-  if (options_.fsync) fs.sync_dir(kPtDirFsync, dir_);
-  cleanup_unreferenced();
+  return false;  // every file is rewritten in place: nothing new to clean up
 }
 
 void LaunchStateStore::cleanup_unreferenced() const {
@@ -1104,6 +1155,10 @@ LaunchState LaunchStateStore::load() const {
   primed_ = false;
   logs_.clear();
   last_ = LaunchState{};
+  applied_.clear();
+  relearn_.clear();
+  relearn_pending_ = false;
+  scan_pending_ = true;
 
   LaunchState state;
   const util::CsvParseOptions tolerant{.tolerate_torn_tail = true};
@@ -1181,6 +1236,8 @@ LaunchState LaunchStateStore::load() const {
     };
     state.applied_slots = load_slots(kAppliedFile);
     state.relearn_applied_slots = load_slots(kRelearnFile);
+    overlay_slots(applied_, state.applied_slots);
+    overlay_slots(relearn_, state.relearn_applied_slots);
     // Leave the store unprimed: the next save() re-baselines the legacy
     // checkpoint into journal logs (or rewrites it, per the mode).
     return state;
@@ -1195,8 +1252,8 @@ LaunchState LaunchStateStore::load() const {
   }
 
   std::vector<BlockBuilder> blocks(shard_count == 0 ? 1 : shard_count);
-  std::map<SlotKey, std::int32_t> applied;
-  std::map<SlotKey, std::int32_t> relearn;
+  SlotMap applied;
+  SlotMap relearn;
 
   for (const StreamDef& s : streams) {
     const auto it = logs.find(s.id);
@@ -1233,12 +1290,8 @@ LaunchState LaunchStateStore::load() const {
       throw std::invalid_argument(path + ": committed journal region is not record-aligned");
     }
 
-    // Which builder this stream replays into.
-    const std::string_view base = stream_base(s.id);
-    const std::size_t dot = s.id.find('.');
-    const std::size_t shard =
-        dot == std::string::npos ? 0 : static_cast<std::size_t>(std::stoull(s.id.substr(dot + 1)));
-    BlockBuilder& block = blocks[shard < blocks.size() ? shard : 0];
+    const std::string_view base = s.kind;
+    BlockBuilder& block = blocks[s.shard < 0 ? 0 : static_cast<std::size_t>(s.shard)];
 
     std::size_t line_no = 0;
     std::size_t pos = 0;
@@ -1308,7 +1361,7 @@ LaunchState LaunchStateStore::load() const {
     state.shards.resize(shard_count);
     for (std::size_t k = 0; k < shard_count; ++k) block_out(blocks[k], state.shards[k]);
   }
-  const auto slots_out = [](const std::map<SlotKey, std::int32_t>& slots) {
+  const auto slots_out = [](const SlotMap& slots) {
     std::vector<LaunchState::SlotWrite> out;
     out.reserve(slots.size());
     for (const auto& [key, value] : slots) {
@@ -1324,6 +1377,8 @@ LaunchState LaunchStateStore::load() const {
   // Prime the diff cache: subsequent saves append against this image.
   logs_ = std::move(logs);
   last_ = state;
+  applied_ = std::move(applied);
+  relearn_ = std::move(relearn);
   primed_ = true;
   return state;
 }
@@ -1332,6 +1387,10 @@ void LaunchStateStore::clear() const {
   primed_ = false;
   logs_.clear();
   last_ = LaunchState{};
+  applied_.clear();
+  relearn_.clear();
+  relearn_pending_ = false;
+  scan_pending_ = true;
   load_stats_ = LoadStats{};
   if (!std::filesystem::exists(dir_)) return;
   std::vector<std::filesystem::path> doomed;

@@ -23,6 +23,12 @@
 //   relearn      the same delta frozen at the last engine re-learn (the
 //                state the current engine's models were trained on)
 //
+// The two slot streams grow with the whole run, so the store keeps their
+// committed images itself and save() takes only the slots written since
+// the last commit (see LaunchState::applied_slots): their part of a
+// checkpoint costs O(slots written), and O(image) work happens only at a
+// re-learn, a compaction, a re-baseline or a load().
+//
 // and progress.csv, caller-defined key/value counters whose tmp+rename is
 // the checkpoint's single atomic commit point (doubles stored as hexfloats
 // so a resumed run's counters are bit-identical).
@@ -41,8 +47,7 @@
 //    last full snapshot (Options::compact_factor) the stream is compacted:
 //    a fresh snapshot log at the next generation, tmp+fsync+renamed, with
 //    the old generation removed only after the commit that references the
-//    new one. Checkpoint cost is therefore O(day's deltas), not O(total
-//    state).
+//    new one.
 //
 //  * Rewrite mode (Options::journal = false): the legacy layout — every
 //    stream rewritten as a flat CSV (journal.csv / journal.2.csv, ...) per
@@ -65,6 +70,7 @@
 #include <map>
 #include <optional>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -121,6 +127,11 @@ struct LaunchState {
   /// fields are ignored; when empty, the flat single-shard layout is used.
   /// load() restores whichever layout the checkpoint committed.
   std::vector<ShardState> shards;
+  /// The slot streams, as writes over the store's images: save() takes the
+  /// slots written since the store's last commit or load() (sorted by
+  /// (pairwise, param_pos, entity), unique), and load() returns each whole
+  /// image as writes over an empty one — so saving a loaded state into a
+  /// fresh store reproduces the checkpoint. Slots are never erased.
   std::vector<SlotWrite> applied_slots;          ///< delta vs. initial assignment
   std::vector<SlotWrite> relearn_applied_slots;  ///< delta at last engine re-learn
   /// Caller-defined counters, persisted in order. Keys must be unique; keys
@@ -169,11 +180,18 @@ class LaunchStateStore {
   /// checkpoint loadable. Throws std::runtime_error on I/O failure (the
   /// store stays usable: the next save() repairs any uncommitted tails).
   ///
-  /// The store keeps the last committed image in memory to diff against;
-  /// that cache is primed by load() or by the first save() (which writes
-  /// full snapshot logs). Stores are stateful, not bound to one process:
-  /// a fresh store over an existing directory re-baselines on first save.
+  /// The store keeps the last committed state in memory to diff against,
+  /// the slot images included; it changes only when a save commits, so a
+  /// caller whose save() threw sends the same slot writes again. A fresh
+  /// store starts from empty images and re-baselines an existing directory
+  /// with full snapshot logs on its first save() unless load() primed it.
   void save(const LaunchState& state) const;
+
+  /// Records that the engine re-learned from the applied image this store
+  /// last committed: the next save() that commits makes that image the
+  /// relearn image (before its relearn_applied_slots apply). O(1) here; the
+  /// commit that consumes it costs O(image).
+  void mark_relearn() const;
 
   /// Loads and validates a checkpoint, repairing (truncating) any journal
   /// tail left unsealed by a crashed append. Malformed state throws
@@ -200,18 +218,34 @@ class LaunchStateStore {
     std::uint64_t snapshot_bytes = 0;
   };
 
-  void save_journal(const LaunchState& state) const;
-  void save_rewrite(const LaunchState& state) const;
+  /// Committed slot image: (pairwise, param_pos, entity) -> value.
+  using SlotImage = std::map<std::tuple<bool, std::uint32_t, std::uint64_t>, std::int32_t>;
+
+  /// One slot image's part of a save (defined in launch_state.cpp).
+  struct SlotUpdate;
+
+  /// Write and commit `state` in one layout; true when the save renamed
+  /// new snapshot files into place (old generations then need cleanup).
+  bool save_journal(const LaunchState& state, const SlotUpdate& applied,
+                    const SlotUpdate& relearn) const;
+  bool save_rewrite(const LaunchState& state, const SlotUpdate& applied,
+                    const SlotUpdate& relearn) const;
   void cleanup_unreferenced() const;
 
   std::string dir_;
   Options options_;
-  // Journal-mode commit cache: the last committed image and the per-stream
-  // log positions. Mutable because save()/load() are logically const to
-  // callers (the checkpoint directory is the real state); guarded by the
-  // pipeline's single-writer discipline, not a lock.
-  mutable bool primed_ = false;
-  mutable LaunchState last_;
+  // Commit cache: the last committed state, the slot images and the
+  // per-stream log positions. Mutable because save()/load() are logically
+  // const to callers (the checkpoint directory is the real state); guarded
+  // by the pipeline's single-writer discipline, not a lock.
+  mutable bool primed_ = false;   ///< logs_ and last_ describe a journal layout
+  mutable LaunchState last_;      ///< slot fields unused: the images below
+  mutable SlotImage applied_;
+  mutable SlotImage relearn_;
+  mutable bool relearn_pending_ = false;
+  /// The directory may hold files no commit of this store accounts for (a
+  /// fresh store, a load(), a save that threw): the next commit scans it.
+  mutable bool scan_pending_ = true;
   mutable std::map<std::string, StreamLog> logs_;
   mutable LoadStats load_stats_;
 };

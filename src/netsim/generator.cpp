@@ -6,6 +6,7 @@
 #include <stdexcept>
 #include <vector>
 
+#include "obs/trace.h"
 #include "util/rng.h"
 #include "util/strings.h"
 
@@ -141,6 +142,7 @@ int cell_size_for(Morphology morphology, Band band) {
 }  // namespace
 
 Topology generate_topology(const TopologyParams& params) {
+  obs::ScopedSpan span("netsim.generate_topology");
   if (params.num_markets < 1) throw std::invalid_argument("num_markets must be >= 1");
   if (params.base_enodebs_per_market < 1) {
     throw std::invalid_argument("base_enodebs_per_market must be >= 1");

@@ -619,9 +619,14 @@ obs::HttpResponse ServeDaemon::compute(const obs::HttpRequest& request,
     } else {
       recs = bundle.engine->recommend_singular(carrier);
     }
-    std::string body = "{\"carrier\":" + std::to_string(carrier_id) +
-                       ",\"generation\":" + std::to_string(bundle.generation) +
-                       ",\"recommendations\":[";
+    // One reserved body; numbers go straight in through std::to_chars.
+    std::string body;
+    body.reserve(64 + 192 * recs.size());
+    body += "{\"carrier\":";
+    body += std::to_string(carrier_id);
+    body += ",\"generation\":";
+    body += std::to_string(bundle.generation);
+    body += ",\"recommendations\":[";
     bool first = true;
     for (const core::Recommendation& rec : recs) {
       const config::ParamDef& def = catalog_->at(rec.param);
@@ -629,16 +634,26 @@ obs::HttpResponse ServeDaemon::compute(const obs::HttpRequest& request,
         body += ',';
       }
       first = false;
-      body += "{\"param\":\"" + json_escape(def.name) + "\"";
+      body += "{\"param\":\"";
+      body += json_escape(def.name);
+      body += '"';
       if (rec.value != config::kUnset) {
-        body += ",\"value\":" + util::format("%g", def.domain.value(rec.value));
+        body += ",\"value\":";
+        util::append_general(body, def.domain.value(rec.value), 6);
       }
-      body += std::string(",\"source\":\"") + core::recommendation_source_name(rec.source) +
-              "\",\"votes\":" + std::to_string(rec.votes) +
-              ",\"group_size\":" + std::to_string(rec.group_size) +
-              ",\"support\":" + util::format("%.4f", rec.support) +
-              ",\"margin\":" + util::format("%.4f", rec.margin) +
-              ",\"level\":" + std::to_string(rec.level) + "}";
+      body += ",\"source\":\"";
+      body += core::recommendation_source_name(rec.source);
+      body += "\",\"votes\":";
+      body += std::to_string(rec.votes);
+      body += ",\"group_size\":";
+      body += std::to_string(rec.group_size);
+      body += ",\"support\":";
+      util::append_fixed(body, rec.support, 4);
+      body += ",\"margin\":";
+      util::append_fixed(body, rec.margin, 4);
+      body += ",\"level\":";
+      body += std::to_string(rec.level);
+      body += '}';
     }
     body += "]}";
     return json_response(200, std::move(body));
@@ -648,9 +663,15 @@ obs::HttpResponse ServeDaemon::compute(const obs::HttpRequest& request,
   std::vector<smartlaunch::LaunchController::PlannedChange> vendor;
   const std::vector<smartlaunch::LaunchController::PlannedChange> changes =
       bundle.controller->plan_changes_detailed(carrier, &vendor);
-  std::string body = "{\"carrier\":" + std::to_string(carrier_id) +
-                     ",\"generation\":" + std::to_string(bundle.generation) +
-                     ",\"slots\":" + std::to_string(vendor.size()) + ",\"changes\":[";
+  std::string body;
+  body.reserve(96 + 160 * changes.size());
+  body += "{\"carrier\":";
+  body += std::to_string(carrier_id);
+  body += ",\"generation\":";
+  body += std::to_string(bundle.generation);
+  body += ",\"slots\":";
+  body += std::to_string(vendor.size());
+  body += ",\"changes\":[";
   bool first = true;
   for (const auto& change : changes) {
     const config::ParamDef& def = catalog_->at(change.slot.param);
@@ -658,15 +679,20 @@ obs::HttpResponse ServeDaemon::compute(const obs::HttpRequest& request,
       body += ',';
     }
     first = false;
-    body += "{\"param\":\"" + json_escape(def.name) + "\",\"mo_path\":\"" +
-            json_escape(change.slot.mo_path) + "\"";
+    body += "{\"param\":\"";
+    body += json_escape(def.name);
+    body += "\",\"mo_path\":\"";
+    body += json_escape(change.slot.mo_path);
+    body += '"';
     if (change.vendor_value != config::kUnset) {
-      body += ",\"vendor\":" + util::format("%g", def.domain.value(change.vendor_value));
+      body += ",\"vendor\":";
+      util::append_general(body, def.domain.value(change.vendor_value), 6);
     }
     if (change.new_value != config::kUnset) {
-      body += ",\"new\":" + util::format("%g", def.domain.value(change.new_value));
+      body += ",\"new\":";
+      util::append_general(body, def.domain.value(change.new_value), 6);
     }
-    body += "}";
+    body += '}';
   }
   body += "]}";
   return json_response(200, std::move(body));

@@ -6,6 +6,7 @@
 #include <optional>
 #include <stdexcept>
 #include <string>
+#include <tuple>
 
 #include "core/engine.h"
 #include "core/model_watch.h"
@@ -75,8 +76,8 @@ void OperationReplay::apply_slot(const SlotRef& slot, config::ValueIndex value,
   col.cause[slot.entity] = config::Cause::kDefault;
   if (record != nullptr) {
     record->push_back({pairwise, pos, slot.entity, value});
-  } else if (track_delta_) {
-    delta_[{pairwise, pos, slot.entity}] = value;
+  } else if (track_writes_) {
+    unsaved_writes_.push_back({pairwise, static_cast<std::uint32_t>(pos), slot.entity, value});
   }
 }
 
@@ -135,6 +136,7 @@ struct ShardDrainResult {
 }  // namespace
 
 double OperationReplay::mean_network_kpi() const {
+  obs::ScopedSpan span("replay.network_kpi");
   const KpiModel kpi(*topology_, *catalog_, state_);
   double total = 0.0;
   for (double q : kpi.all_qualities()) total += q;
@@ -147,7 +149,7 @@ ReplayReport OperationReplay::run() {
   ReplayReport report;
 
   const bool persist = !options_.state_dir.empty();
-  track_delta_ = persist;
+  track_writes_ = persist;
   const io::LaunchStateStore store(options_.state_dir.empty() ? "." : options_.state_dir,
                                    options_.checkpoint);
 
@@ -249,7 +251,14 @@ ReplayReport OperationReplay::run() {
     } else {
       rebuild_engine();
     }
-    relearn_delta_ = delta_;
+    if (persist) {
+      // The store freezes its last committed applied image as the relearn
+      // image, so nothing the engine learned from may still be unsaved.
+      if (!unsaved_writes_.empty()) {
+        throw std::logic_error("OperationReplay: re-learn with uncheckpointed slot writes");
+      }
+      store.mark_relearn();
+    }
     ++report.engine_relearns;
   };
 
@@ -326,15 +335,9 @@ ReplayReport OperationReplay::run() {
     // frozen at the last re-learn), then fast-forward the evolving state to
     // the checkpoint. The re-learn counter comes from the checkpoint, so the
     // rebuild is not double-counted.
-    for (const io::LaunchState::SlotWrite& w : state.relearn_applied_slots) {
-      write_cell(w);
-      relearn_delta_[{w.pairwise, w.param_pos, static_cast<std::size_t>(w.entity)}] = w.value;
-    }
+    for (const io::LaunchState::SlotWrite& w : state.relearn_applied_slots) write_cell(w);
     rebuild_engine();
-    for (const io::LaunchState::SlotWrite& w : state.applied_slots) {
-      write_cell(w);
-      delta_[{w.pairwise, w.param_pos, static_cast<std::size_t>(w.entity)}] = w.value;
-    }
+    for (const io::LaunchState::SlotWrite& w : state.applied_slots) write_cell(w);
 
     // The checkpoint's shard layout must match the options: a sharded
     // checkpoint encodes per-shard fault-stream positions that cannot be
@@ -421,6 +424,7 @@ ReplayReport OperationReplay::run() {
   }
 
   const auto checkpoint = [&](int day, int launch_in_day) {
+    obs::ScopedSpan checkpoint_span("replay.checkpoint");
     io::LaunchState state;
     const auto sorted_journal = [](const RobustPushExecutor& exec) {
       std::vector<std::pair<netsim::CarrierId, std::uint64_t>> journal;
@@ -456,17 +460,20 @@ ReplayReport OperationReplay::run() {
         shard.ems = ems_state_to_io(sharded.shard(k).snapshot());
       }
     }
-    const auto to_writes = [](const std::map<SlotKey, config::ValueIndex>& delta) {
-      std::vector<io::LaunchState::SlotWrite> writes;
-      writes.reserve(delta.size());
-      for (const auto& [key, value] : delta) {
-        writes.push_back({std::get<0>(key), static_cast<std::uint32_t>(std::get<1>(key)),
-                          static_cast<std::uint64_t>(std::get<2>(key)), value});
-      }
-      return writes;
+    // Only the slots written since the last commit: the store keeps the
+    // images. A slot written twice keeps its last value, read from state_.
+    std::vector<io::LaunchState::SlotWrite>& writes = state.applied_slots;
+    writes = unsaved_writes_;
+    const auto slot_of = [](const io::LaunchState::SlotWrite& w) {
+      return std::tuple(w.pairwise, w.param_pos, w.entity);
     };
-    state.applied_slots = to_writes(delta_);
-    state.relearn_applied_slots = to_writes(relearn_delta_);
+    std::sort(writes.begin(), writes.end(),
+              [&](const auto& a, const auto& b) { return slot_of(a) < slot_of(b); });
+    const auto same_slot = [&](const auto& a, const auto& b) { return slot_of(a) == slot_of(b); };
+    writes.erase(std::unique(writes.begin(), writes.end(), same_slot), writes.end());
+    for (io::LaunchState::SlotWrite& w : writes) {
+      w.value = (w.pairwise ? state_.pairwise : state_.singular)[w.param_pos].value[w.entity];
+    }
 
     auto& p = state.progress;
     const auto put = [&](const std::string& key, std::size_t value) {
@@ -519,6 +526,7 @@ ReplayReport OperationReplay::run() {
     p.emplace_back("week.quality", util::format("%a", week_quality));
     put("week.quality_n", week_quality_n);
     store.save(state);
+    unsaved_writes_.clear();  // only now: a save that throws re-sends them
   };
 
   bool stopped = false;
@@ -895,8 +903,11 @@ ReplayReport OperationReplay::run() {
         }
       };
       const auto merge_writes = [&](const std::vector<RecordedWrite>& writes) {
-        if (!track_delta_) return;
-        for (const RecordedWrite& w : writes) delta_[{w.pairwise, w.pos, w.entity}] = w.value;
+        if (!track_writes_) return;
+        for (const RecordedWrite& w : writes) {
+          unsaved_writes_.push_back(
+              {w.pairwise, static_cast<std::uint32_t>(w.pos), w.entity, w.value});
+        }
       };
 
       for (std::size_t i = 0; i < batch; ++i) {

@@ -28,9 +28,7 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <memory>
-#include <tuple>
 #include <vector>
 
 #include "config/assignment.h"
@@ -205,10 +203,6 @@ class OperationReplay {
   const core::ModelWatch* model_watch() const { return watch_.get(); }
 
  private:
-  /// Slot identity for the evolving-state delta: (pairwise, column position,
-  /// entity). Ordered so checkpoints serialize deterministically.
-  using SlotKey = std::tuple<bool, std::size_t, std::size_t>;
-
   const netsim::Topology* topology_;
   const netsim::AttributeSchema* schema_;
   const config::ParamCatalog* catalog_;
@@ -217,17 +211,16 @@ class OperationReplay {
   ReplayOptions options_;
   std::unique_ptr<core::ModelWatch> watch_;
 
-  /// Slot writes since construction (delta vs. the initial assignment),
-  /// tracked only when checkpointing is enabled.
-  bool track_delta_ = false;
-  std::map<SlotKey, config::ValueIndex> delta_;
-  /// The delta frozen at the last engine re-learn (what the engine saw).
-  std::map<SlotKey, config::ValueIndex> relearn_delta_;
+  /// Slot writes since the last committed checkpoint, in write order with
+  /// repeats, tracked only when checkpointing is enabled. The store keeps
+  /// the whole applied and relearn images; each checkpoint hands it these.
+  bool track_writes_ = false;
+  std::vector<io::LaunchState::SlotWrite> unsaved_writes_;
 
   /// Writes a slot value into the evolving state. With `record` set the
-  /// write is appended there instead of the delta map (thread-safe: shard
+  /// write is appended there instead of unsaved_writes_ (thread-safe: shard
   /// workers only ever touch their own carriers' cells and their own record
-  /// vector); without it the delta map is updated directly (serial path).
+  /// vector); without it unsaved_writes_ is updated directly (serial path).
   void apply_slot(const SlotRef& slot, config::ValueIndex value,
                   std::vector<RecordedWrite>* record = nullptr);
 

@@ -1,8 +1,10 @@
 #include "util/strings.h"
 
 #include <cctype>
+#include <charconv>
 #include <cstdarg>
 #include <cstdio>
+#include <stdexcept>
 
 namespace auric::util {
 
@@ -65,6 +67,27 @@ std::string format(const char* fmt, ...) {
 
 std::string format_fixed(double value, int digits) {
   return format("%.*f", digits, value);
+}
+
+namespace {
+
+void append_chars(std::string& out, double value, std::chars_format fmt, int precision) {
+  // Wide enough for any finite double in fixed notation (309 integer digits)
+  // at the precisions callers use.
+  char buf[352];
+  const std::to_chars_result r = std::to_chars(buf, buf + sizeof(buf), value, fmt, precision);
+  if (r.ec != std::errc{}) throw std::length_error("append_chars: precision too large");
+  out.append(buf, r.ptr);
+}
+
+}  // namespace
+
+void append_general(std::string& out, double value, int precision) {
+  append_chars(out, value, std::chars_format::general, precision);
+}
+
+void append_fixed(std::string& out, double value, int precision) {
+  append_chars(out, value, std::chars_format::fixed, precision);
 }
 
 std::string with_commas(long long value) {

@@ -29,6 +29,13 @@ std::string format(const char* fmt, ...) __attribute__((format(printf, 1, 2)));
 /// -> "95.48"). Used by the report tables so outputs match the paper layout.
 std::string format_fixed(double value, int digits);
 
+/// Appends `value` exactly as printf("%.*g", precision, value) would, via
+/// std::to_chars (no format-string parse, no temporary string).
+void append_general(std::string& out, double value, int precision);
+
+/// Appends `value` exactly as printf("%.*f", precision, value) would.
+void append_fixed(std::string& out, double value, int precision);
+
 /// Human-readable integer with thousands separators ("4528139" -> "4,528,139").
 std::string with_commas(long long value);
 

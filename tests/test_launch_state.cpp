@@ -4,6 +4,8 @@
 #include <filesystem>
 #include <fstream>
 #include <functional>
+#include <tuple>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -448,6 +450,149 @@ TEST(LaunchStateStore, TornLegacyCsvTailDroppedWithWarning) {
   const LaunchState loaded = store.load();
   ASSERT_EQ(loaded.journal.size(), 1u);
   EXPECT_EQ(loaded.journal[0].first, 3);
+}
+
+// --- Slot images: save() takes writes, the store keeps the images ---------
+
+std::uint64_t append_bytes_total() {
+  return obs::MetricsRegistry::global().counter("auric_checkpoint_append_bytes_total").value();
+}
+
+/// `count` singular slots of column `param_pos`, entities 0..count-1.
+std::vector<LaunchState::SlotWrite> slot_range(std::uint32_t param_pos, std::uint64_t count,
+                                               std::int32_t value) {
+  std::vector<LaunchState::SlotWrite> out;
+  for (std::uint64_t e = 0; e < count; ++e) out.push_back({false, param_pos, e, value});
+  return out;
+}
+
+std::vector<std::tuple<bool, std::uint32_t, std::uint64_t, std::int32_t>> as_tuples(
+    const std::vector<LaunchState::SlotWrite>& slots) {
+  std::vector<std::tuple<bool, std::uint32_t, std::uint64_t, std::int32_t>> out;
+  for (const auto& w : slots) out.emplace_back(w.pairwise, w.param_pos, w.entity, w.value);
+  return out;
+}
+
+TEST(LaunchStateStore, SlotWritesAccumulateIntoTheImage) {
+  const LaunchStateStore store(temp_dir("slot_accumulate"));
+  LaunchState state;
+  state.applied_slots = {{false, 1, 4, 2}, {true, 0, 7, 3}};
+  store.save(state);
+  state.applied_slots = {{false, 1, 4, 9}, {false, 2, 0, 1}};  // overwrite + new slot
+  store.save(state);
+  state.applied_slots.clear();
+  store.save(state);  // nothing written: the image stays
+
+  const LaunchStateStore reopened(store.dir());
+  EXPECT_EQ(as_tuples(reopened.load().applied_slots),
+            as_tuples({{false, 1, 4, 9}, {false, 2, 0, 1}, {true, 0, 7, 3}}));
+}
+
+TEST(LaunchStateStore, MarkRelearnFreezesTheCommittedAppliedImage) {
+  const LaunchStateStore store(temp_dir("slot_relearn"));
+  LaunchState state;
+  state.applied_slots = {{false, 0, 1, 5}, {false, 0, 2, 6}};
+  store.save(state);
+  // The engine re-learns from the committed image; the next save carries
+  // writes made after that re-learn, which the relearn image must not see.
+  store.mark_relearn();
+  state.applied_slots = {{false, 0, 2, 8}, {false, 0, 3, 7}};
+  store.save(state);
+
+  const LaunchStateStore reopened(store.dir());
+  const LaunchState loaded = reopened.load();
+  EXPECT_EQ(as_tuples(loaded.relearn_applied_slots),
+            as_tuples({{false, 0, 1, 5}, {false, 0, 2, 6}}));
+  EXPECT_EQ(as_tuples(loaded.applied_slots),
+            as_tuples({{false, 0, 1, 5}, {false, 0, 2, 8}, {false, 0, 3, 7}}));
+}
+
+TEST(LaunchStateStore, LoadedStateSavedIntoAFreshStoreReproducesTheImages) {
+  const LaunchStateStore source(temp_dir("slot_copy_src"));
+  LaunchState state = sample_state();
+  source.save(state);
+  source.mark_relearn();
+  state.applied_slots = {{false, 3, 1, 2}};
+  source.save(state);
+  const LaunchState loaded = source.load();
+
+  const LaunchStateStore sink(temp_dir("slot_copy_dst"));
+  sink.save(loaded);
+  const LaunchState copied = LaunchStateStore(sink.dir()).load();
+  EXPECT_EQ(as_tuples(copied.applied_slots), as_tuples(loaded.applied_slots));
+  EXPECT_EQ(as_tuples(copied.relearn_applied_slots), as_tuples(loaded.relearn_applied_slots));
+}
+
+TEST(LaunchStateStore, RewritingAnUnchangedSlotAppendsNothing) {
+  const LaunchStateStore store(temp_dir("slot_unchanged"));
+  LaunchState state;
+  state.applied_slots = slot_range(0, 50, 4);
+  store.save(state);
+  const auto applied_log = log_files(store.dir(), "applied");
+  ASSERT_EQ(applied_log.size(), 1u);
+  const auto size_before = std::filesystem::file_size(applied_log[0]);
+  const std::uint64_t appended_before = append_bytes_total();
+
+  state.applied_slots = slot_range(0, 10, 4);  // same values again
+  state.progress = {{"day", "2"}};
+  store.save(state);
+  EXPECT_EQ(append_bytes_total(), appended_before);
+  EXPECT_EQ(std::filesystem::file_size(applied_log[0]), size_before);
+}
+
+TEST(LaunchStateStore, CompactionSnapshotReloadsToTheSameImage) {
+  LaunchStateStore::Options compacting;
+  compacting.compact_min_bytes = 1;  // every changed stream re-snapshots
+  compacting.compact_factor = 0.0;
+  const LaunchStateStore store(temp_dir("slot_compact"), compacting);
+  const LaunchStateStore plain(temp_dir("slot_compact_plain"));
+  LaunchState state;
+  state.applied_slots = slot_range(1, 40, 3);
+  state.relearn_applied_slots = slot_range(1, 20, 3);
+  for (const LaunchStateStore* s : {&store, &plain}) s->save(state);
+  const auto gen1 = log_files(store.dir(), "applied");
+
+  for (const LaunchStateStore* s : {&store, &plain}) s->mark_relearn();
+  state.applied_slots = {{false, 1, 5, 9}, {false, 1, 99, 2}, {true, 0, 3, 1}};
+  state.relearn_applied_slots.clear();
+  for (const LaunchStateStore* s : {&store, &plain}) s->save(state);
+  const auto gen2 = log_files(store.dir(), "applied");
+  ASSERT_EQ(gen2.size(), 1u);
+  EXPECT_NE(gen1[0], gen2[0]) << "the applied stream must have compacted";
+
+  const LaunchState compacted = LaunchStateStore(store.dir()).load();
+  const LaunchState appended = LaunchStateStore(plain.dir()).load();
+  EXPECT_EQ(as_tuples(compacted.applied_slots), as_tuples(appended.applied_slots));
+  EXPECT_EQ(as_tuples(compacted.relearn_applied_slots), as_tuples(appended.relearn_applied_slots));
+  EXPECT_EQ(appended.applied_slots.size(), 42u);
+  EXPECT_EQ(appended.relearn_applied_slots.size(), 40u);
+}
+
+TEST(LaunchStateStore, BytesAppendedPerSaveDoNotDependOnImageSize) {
+  // Ten slots written into a 2K-slot and a 25K-slot image append exactly
+  // the same op records: a save is priced by what it wrote.
+  std::vector<std::uint64_t> appended;
+  for (const std::uint64_t image : {2000u, 25000u}) {
+    const LaunchStateStore store(temp_dir(("slot_flat_" + std::to_string(image)).c_str()));
+    LaunchState state;
+    state.applied_slots = slot_range(0, image, 1);
+    state.relearn_applied_slots = state.applied_slots;
+    store.save(state);
+    state.applied_slots = slot_range(0, 10, 2);
+    state.relearn_applied_slots.clear();
+    const std::uint64_t before = append_bytes_total();
+    store.save(state);
+    appended.push_back(append_bytes_total() - before);
+  }
+  EXPECT_GT(appended[0], 0u);
+  EXPECT_EQ(appended[0], appended[1]);
+}
+
+TEST(LaunchStateStore, UnsortedSlotWritesRejected) {
+  const LaunchStateStore store(temp_dir("slot_unsorted"));
+  LaunchState state;
+  state.applied_slots = {{false, 0, 9, 1}, {false, 0, 3, 1}};
+  EXPECT_THROW(store.save(state), std::invalid_argument);
 }
 
 TEST(LaunchStateStore, CrashPointCatalogIsStable) {

@@ -315,6 +315,66 @@ TEST(LaunchStateCrashMatrix, FailedOperationLeavesStoreRetryable) {
   EXPECT_GE(fired, 8);
 }
 
+TEST(LaunchStateCrashMatrix, FailedSaveThenRetryLosesNoSlotWrite) {
+  // The store's images change only when a save commits, so a caller that
+  // re-sends the writes of a save that threw (plus newer ones) loses none
+  // of them — and a re-learn marked before the failure still lands once,
+  // on the image committed before it.
+  FaultFs& fs = FaultFs::global();
+  fs.reset();
+  const std::vector<LaunchState::SlotWrite> base = {{false, 0, 1, 1}, {false, 0, 2, 1}};
+  const std::vector<LaunchState::SlotWrite> lost = {{false, 0, 2, 5}, {true, 1, 4, 6}};
+  const std::vector<LaunchState::SlotWrite> retry = {
+      {false, 0, 2, 5}, {false, 0, 3, 7}, {true, 1, 4, 6}};
+  int fired = 0;
+  for (const std::string& point : LaunchStateStore::crash_point_catalog()) {
+    SCOPED_TRACE(point);
+    const std::string dir = temp_dir("failed_retry");
+    const LaunchStateStore store(dir);
+    LaunchState state = make_state(0, 0);
+    state.applied_slots = base;
+    state.relearn_applied_slots.clear();
+    store.save(state);
+
+    store.mark_relearn();
+    state = make_state(1, 0);
+    state.applied_slots = lost;
+    state.relearn_applied_slots.clear();
+    FaultFs::FaultPlan plan;
+    plan.fault = FaultFs::Fault::kFailOp;
+    plan.point = point;
+    fs.install(plan);
+    bool failed = false;
+    try {
+      store.save(state);
+    } catch (const std::runtime_error&) {
+      failed = true;
+    }
+    fs.reset();
+    if (!failed) continue;  // point not on this save's path
+    ++fired;
+    state.applied_slots = retry;
+    store.save(state);
+
+    const LaunchState loaded = LaunchStateStore(dir).load();
+    std::string applied;
+    for (const auto& w : loaded.applied_slots) {
+      applied += std::to_string(w.param_pos) + "." + std::to_string(w.entity) + "=" +
+                 std::to_string(w.value) + " ";
+    }
+    EXPECT_EQ(applied, "0.1=1 0.2=5 0.3=7 1.4=6 ");
+    std::string relearn;
+    for (const auto& w : loaded.relearn_applied_slots) {
+      relearn += std::to_string(w.param_pos) + "." + std::to_string(w.entity) + "=" +
+                 std::to_string(w.value) + " ";
+    }
+    EXPECT_EQ(relearn, "0.1=1 0.2=1 ");
+  }
+  // The append, its fsync, the three progress.csv steps and the directory
+  // fsync (the last one after the commit) all lie on an appending save.
+  EXPECT_EQ(fired, 6);
+}
+
 TEST(LaunchStateCrashMatrix, CrashDuringRecoveryTruncateIsRecoverable) {
   // A crashed append leaves a torn tail; the NEXT load truncates it at
   // crash point recover.truncate. Crashing inside that repair must leave a

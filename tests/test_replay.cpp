@@ -1,6 +1,7 @@
 #include "smartlaunch/replay.h"
 
 #include <filesystem>
+#include <map>
 #include <set>
 #include <string>
 
@@ -8,6 +9,8 @@
 
 #include "config/ground_truth.h"
 #include "core/model_watch.h"
+#include "obs/metrics.h"
+#include "obs/trace.h"
 #include "test_helpers.h"
 #include "util/drain.h"
 #include "util/parallel.h"
@@ -207,6 +210,43 @@ TEST(OperationReplay, CheckpointingDoesNotPerturbTheRun) {
   const ReplayReport b = persisted.run();
   expect_reports_identical(a, b);
   std::filesystem::remove_all(dir);
+}
+
+/// Every checkpoint commit is one replay.checkpoint span, under the launch
+/// it follows or under the day it seals, serial and sharded alike.
+TEST(OperationReplay, EveryCheckpointIsASpanUnderItsLaunchOrDay) {
+  Fixture f;
+  for (const int shards : {1, 2}) {
+    SCOPED_TRACE("shards " + std::to_string(shards));
+    ReplayOptions options = f.options();
+    options.days = 2;
+    options.shards = shards;
+    options.state_dir =
+        (std::filesystem::temp_directory_path() / "auric_replay_checkpoint_spans").string();
+    std::filesystem::remove_all(options.state_dir);
+    obs::Counter& commits =
+        obs::MetricsRegistry::global().counter("auric_checkpoint_writes_total");
+    const std::uint64_t commits_before = commits.value();
+    obs::TraceRecorder& recorder = obs::TraceRecorder::global();
+    recorder.clear();
+    OperationReplay replay(f.topo, f.schema, f.catalog, f.ground_truth, f.assignment, options);
+    (void)replay.run();
+    const std::vector<obs::SpanRecord> spans = recorder.records();
+
+    std::map<std::uint64_t, std::string> name_of;
+    for (const obs::SpanRecord& s : spans) name_of[s.id] = s.name;
+    std::size_t checkpoints = 0;
+    for (const obs::SpanRecord& s : spans) {
+      if (s.name != "replay.checkpoint") continue;
+      ++checkpoints;
+      const std::string& parent = name_of[s.parent];
+      EXPECT_TRUE(parent == "replay.launch" || parent == "replay.day") << parent;
+    }
+    EXPECT_EQ(checkpoints, commits.value() - commits_before);
+    // Serial: one per launch plus one per day; sharded: one per day.
+    EXPECT_EQ(checkpoints, shards == 1 ? 2u * 5u + 2u : 2u);
+    std::filesystem::remove_all(options.state_dir);
+  }
 }
 
 TEST(OperationReplay, ModelWatchIsOutputNeutralSerialAndSharded) {

@@ -20,6 +20,7 @@
 #include "smartlaunch/sharded_ems.h"
 #include "test_helpers.h"
 #include "util/drain.h"
+#include "util/strings.h"
 
 namespace auric::serve {
 namespace {
@@ -85,6 +86,70 @@ TEST(ServeDaemon, RoutesTheControlAndDataPlane) {
   EXPECT_EQ(daemon.handle(put).status, 405);
   // After all that, nothing is stuck in the admission window.
   EXPECT_EQ(daemon.admitted(), 0u);
+}
+
+/// The /recommend and /diff bodies, byte for byte, against a reference that
+/// renders the same engine's answers with snprintf ("%g", "%.4f").
+TEST(ServeDaemon, BodiesMatchAnSnprintfRendering) {
+  Fixture f;
+  ServeDaemon daemon = f.daemon(f.options());
+  daemon.warm_up();
+  const core::AuricEngine engine(f.topo, f.schema, f.catalog, f.assignment);
+  const config::Rulebook rulebook(f.ground_truth, f.catalog);
+  const smartlaunch::LaunchController controller(engine, rulebook, f.assignment, {}, {},
+                                                 f.options().seed);
+  const auto recommend_body = [&](netsim::CarrierId c,
+                                  const std::vector<core::Recommendation>& recs) {
+    std::string body = util::format("{\"carrier\":%d,\"generation\":1,\"recommendations\":[", c);
+    for (std::size_t i = 0; i < recs.size(); ++i) {
+      const core::Recommendation& rec = recs[i];
+      const config::ParamDef& def = f.catalog.at(rec.param);
+      body += util::format("%s{\"param\":\"%s\"", i > 0 ? "," : "", def.name.c_str());
+      if (rec.value != config::kUnset) {
+        body += util::format(",\"value\":%g", def.domain.value(rec.value));
+      }
+      body += util::format(
+          ",\"source\":\"%s\",\"votes\":%d,\"group_size\":%d,\"support\":%.4f,"
+          "\"margin\":%.4f,\"level\":%d}",
+          core::recommendation_source_name(rec.source), static_cast<int>(rec.votes),
+          static_cast<int>(rec.group_size), rec.support, rec.margin, static_cast<int>(rec.level));
+    }
+    return body + "]}";
+  };
+  std::size_t compared = 0;
+  for (netsim::CarrierId c = 0; static_cast<std::size_t>(c) < f.topo.carrier_count(); c += 3) {
+    const std::string id = std::to_string(c);
+    EXPECT_EQ(daemon.handle(get("/recommend?carrier=" + id)).body,
+              recommend_body(c, engine.recommend_singular(c)));
+    const auto neighbors = f.topo.neighborhood(c);
+    if (!neighbors.empty()) {
+      const netsim::CarrierId n = neighbors.front();
+      EXPECT_EQ(
+          daemon.handle(get("/recommend?carrier=" + id + "&neighbor=" + std::to_string(n))).body,
+          recommend_body(c, engine.recommend_pairwise(c, n)));
+    }
+    std::vector<smartlaunch::LaunchController::PlannedChange> vendor;
+    const auto changes = controller.plan_changes_detailed(c, &vendor);
+    std::string diff = util::format("{\"carrier\":%d,\"generation\":1,\"slots\":%zu,\"changes\":[",
+                                    c, vendor.size());
+    for (std::size_t i = 0; i < changes.size(); ++i) {
+      const auto& change = changes[i];
+      diff += util::format("%s{\"param\":\"%s\",\"mo_path\":\"%s\"", i > 0 ? "," : "",
+                           f.catalog.at(change.slot.param).name.c_str(),
+                           change.slot.mo_path.c_str());
+      const config::ValueDomain& domain = f.catalog.at(change.slot.param).domain;
+      if (change.vendor_value != config::kUnset) {
+        diff += util::format(",\"vendor\":%g", domain.value(change.vendor_value));
+      }
+      if (change.new_value != config::kUnset) {
+        diff += util::format(",\"new\":%g", domain.value(change.new_value));
+      }
+      diff += "}";
+    }
+    EXPECT_EQ(daemon.handle(get("/diff?carrier=" + id)).body, diff + "]}");
+    ++compared;
+  }
+  EXPECT_GT(compared, 10u);
 }
 
 TEST(ServeDaemon, PairwiseRecommendationsNeedAValidNeighbor) {

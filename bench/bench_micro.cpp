@@ -386,12 +386,10 @@ BENCHMARK(BM_ShardedReplay)->Arg(1)->Arg(4)->Arg(8)->Unit(benchmark::kMillisecon
 // accumulated journal/quarantine/slot deltas) after a small per-iteration
 // mutation — the shape every post-launch checkpoint has. Like the replay,
 // each save hands the store only the slots written since the last one; the
-// store keeps the slot images. The journal arm appends only the delta; the
-// rewrite arm re-serializes the full image. bytes_per_save (from
-// auric_checkpoint_bytes_total) is the honest metric: the journal layout
-// must land >= 5x fewer bytes, and wall time follows. fsync is off in every
-// arm so the comparison prices serialization + write volume, not the
-// (noisy, device-bound) flush cost.
+// store keeps the slot images and appends only the delta. bytes_per_save
+// (from auric_checkpoint_bytes_total) is the honest metric; fsync is off
+// so the arms price serialization + write volume, not the (noisy,
+// device-bound) flush cost.
 
 /// A grown state whose slot image holds `slots` writes (given as writes
 /// over an empty store, which is how the first save takes them).
@@ -440,15 +438,11 @@ void mutate_launch_state(io::LaunchState& s, std::vector<io::LaunchState::SlotWr
   s.progress[1].second = std::to_string(880 + step);
 }
 
-void run_checkpoint_bench(benchmark::State& state, bool journal, std::size_t slots,
-                          std::size_t written) {
+void run_checkpoint_bench(benchmark::State& state, std::size_t slots, std::size_t written) {
   const std::string dir =
-      (std::filesystem::temp_directory_path() /
-       (journal ? "auric_bench_ckpt_journal" : "auric_bench_ckpt_rewrite"))
-          .string();
+      (std::filesystem::temp_directory_path() / "auric_bench_ckpt_journal").string();
   std::filesystem::remove_all(dir);
   io::LaunchStateStore::Options options;
-  options.journal = journal;
   options.fsync = false;
   const io::LaunchStateStore store(dir, options);
   io::LaunchState image = grown_launch_state(slots);
@@ -470,20 +464,14 @@ void run_checkpoint_bench(benchmark::State& state, bool journal, std::size_t slo
 }
 
 void BM_CheckpointJournal(benchmark::State& state) {
-  run_checkpoint_bench(state, /*journal=*/true, /*slots=*/1500, /*written=*/1);
+  run_checkpoint_bench(state, /*slots=*/1500, /*written=*/1);
 }
 BENCHMARK(BM_CheckpointJournal)->Unit(benchmark::kMicrosecond);
-
-void BM_CheckpointRewrite(benchmark::State& state) {
-  run_checkpoint_bench(state, /*journal=*/false, /*slots=*/1500, /*written=*/1);
-}
-BENCHMARK(BM_CheckpointRewrite)->Unit(benchmark::kMicrosecond);
 
 /// Ten slots written per save into a 2K- or 25K-slot image: the cost of a
 /// journal save must not grow with the image.
 void BM_CheckpointJournalImage(benchmark::State& state) {
-  run_checkpoint_bench(state, /*journal=*/true, static_cast<std::size_t>(state.range(0)),
-                       /*written=*/10);
+  run_checkpoint_bench(state, static_cast<std::size_t>(state.range(0)), /*written=*/10);
 }
 BENCHMARK(BM_CheckpointJournalImage)->Arg(2000)->Arg(25000)->Unit(benchmark::kMicrosecond);
 

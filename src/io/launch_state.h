@@ -33,37 +33,26 @@
 // the checkpoint's single atomic commit point (doubles stored as hexfloats
 // so a resumed run's counters are bit-identical).
 //
-// Persistence comes in two modes (Options::journal):
-//
-//  * Journal mode (default). Every stream lives in an append-only log
-//    (`journal.log3.csv`, `ems.2.log7.csv`, ...) of CSV op records; each
-//    save() appends only the ops that transform the previously committed
-//    state into the new one, fsyncs the appended logs, and then commits by
-//    rewriting progress.csv (tmp + fsync + rename + directory fsync).
-//    progress.csv carries one reserved `__log.<stream>` row per log naming
-//    the generation and the SEALED byte length — bytes past the seal are an
-//    uncommitted tail from a crashed append, and recovery truncates them
-//    away before replaying the ops. When a log's appended tail outgrows its
-//    last full snapshot (Options::compact_factor) the stream is compacted:
-//    a fresh snapshot log at the next generation, tmp+fsync+renamed, with
-//    the old generation removed only after the commit that references the
-//    new one.
-//
-//  * Rewrite mode (Options::journal = false): the legacy layout — every
-//    stream rewritten as a flat CSV (journal.csv / journal.2.csv, ...) per
-//    checkpoint, now with the same fsync-before-rename durability. load()
-//    auto-detects which mode committed the checkpoint, so journal-mode
-//    stores resume from legacy checkpoints (and re-baseline them into logs
-//    on the next save).
+// Every stream lives in an append-only log (`journal.log3.csv`,
+// `ems.2.log7.csv`, ...) of CSV op records; each save() appends only the
+// ops that transform the previously committed state into the new one,
+// fsyncs the appended logs, and then commits by rewriting progress.csv
+// (tmp + fsync + rename + directory fsync). progress.csv carries one
+// reserved `__log.<stream>` row per log naming the generation and the
+// SEALED byte length — bytes past the seal are an uncommitted tail from a
+// crashed append, and recovery truncates them away before replaying the
+// ops. When a log's appended tail outgrows its last full snapshot
+// (Options::compact_factor) the stream is compacted: a fresh snapshot log
+// at the next generation, tmp+fsync+renamed, with the old generation
+// removed only after the commit that references the new one.
 //
 // Every write routes through io::FaultFs, so crash-injection tests can kill
 // the store at any named operation; the crash-point catalog below is the
 // matrix those tests iterate. load() validates everything it reads and
-// reports malformed state with file + line context ("journal.csv line 3:
-// ...") — a corrupt checkpoint must fail loudly, never resume partially.
-// The one tolerated defect is a torn final record in a legacy CSV (no
-// trailing newline): those are dropped with a warning, mirroring the
-// journal seal rule.
+// reports malformed state with file + line context ("journal.log1.csv line
+// 3: ...") — a corrupt checkpoint must fail loudly, never resume partially.
+// The one repaired defect is a log tail past its seal; progress.csv itself
+// is only ever replaced by a rename, so a torn final line there is refused.
 #pragma once
 
 #include <cstdint>
@@ -123,9 +112,9 @@ struct LaunchState {
   util::CircuitBreaker::Snapshot breaker;
   EmsState ems;
   /// Sharded-pipeline layout: when non-empty, the five blocks above are
-  /// persisted per shard (shards[k] -> journal.k.*, ...) and the flat
-  /// fields are ignored; when empty, the flat single-shard layout is used.
-  /// load() restores whichever layout the checkpoint committed.
+  /// persisted per shard (shards[k] -> journal.k.log*.csv, ...) and the
+  /// flat fields are ignored; when empty, the flat single-shard streams are
+  /// used. load() restores whichever layout the checkpoint committed.
   std::vector<ShardState> shards;
   /// The slot streams, as writes over the store's images: save() takes the
   /// slots written since the store's last commit or load() (sorted by
@@ -145,9 +134,6 @@ struct LaunchState {
 class LaunchStateStore {
  public:
   struct Options {
-    /// Append-only journal checkpoints (O(delta) per save). False restores
-    /// the legacy rewrite-every-file layout (O(total state) per save).
-    bool journal = true;
     /// fsync appended logs / temp files before, and the directory after,
     /// the progress.csv commit rename. Off only for benches that price the
     /// serialization path without the (noisy) device-flush cost.
@@ -162,7 +148,6 @@ class LaunchStateStore {
   struct LoadStats {
     std::size_t torn_tails_truncated = 0;  ///< journal logs cut back to their seal
     std::size_t records_replayed = 0;      ///< journal op records applied
-    bool legacy_layout = false;            ///< checkpoint predates journal mode
   };
 
   explicit LaunchStateStore(std::string dir);
@@ -174,9 +159,8 @@ class LaunchStateStore {
   /// True once a checkpoint has been committed (progress.csv exists).
   bool exists() const;
 
-  /// Persists `state`. Journal mode appends per-stream deltas and commits
-  /// them via the progress.csv rename; rewrite mode rewrites every file.
-  /// Either way a crash at any point leaves the previous committed
+  /// Persists `state`: appends per-stream deltas and commits them via the
+  /// progress.csv rename. A crash at any point leaves the previous committed
   /// checkpoint loadable. Throws std::runtime_error on I/O failure (the
   /// store stays usable: the next save() repairs any uncommitted tails).
   ///
@@ -194,8 +178,9 @@ class LaunchStateStore {
   void mark_relearn() const;
 
   /// Loads and validates a checkpoint, repairing (truncating) any journal
-  /// tail left unsealed by a crashed append. Malformed state throws
-  /// std::invalid_argument naming the file and 1-based line.
+  /// tail left unsealed by a crashed append. Malformed state — including a
+  /// progress.csv without journal seals — throws std::invalid_argument
+  /// naming the file (and the 1-based line where there is one).
   LaunchState load() const;
 
   /// Repairs performed by the most recent load() on this store.
@@ -224,11 +209,10 @@ class LaunchStateStore {
   /// One slot image's part of a save (defined in launch_state.cpp).
   struct SlotUpdate;
 
-  /// Write and commit `state` in one layout; true when the save renamed
-  /// new snapshot files into place (old generations then need cleanup).
+  /// Append (or snapshot) every stream and commit `state`; true when the
+  /// save renamed new snapshot files into place (old generations then need
+  /// cleanup).
   bool save_journal(const LaunchState& state, const SlotUpdate& applied,
-                    const SlotUpdate& relearn) const;
-  bool save_rewrite(const LaunchState& state, const SlotUpdate& applied,
                     const SlotUpdate& relearn) const;
   void cleanup_unreferenced() const;
 
@@ -238,7 +222,7 @@ class LaunchStateStore {
   // per-stream log positions. Mutable because save()/load() are logically
   // const to callers (the checkpoint directory is the real state); guarded
   // by the pipeline's single-writer discipline, not a lock.
-  mutable bool primed_ = false;   ///< logs_ and last_ describe a journal layout
+  mutable bool primed_ = false;   ///< logs_ and last_ describe the last commit
   mutable LaunchState last_;      ///< slot fields unused: the images below
   mutable SlotImage applied_;
   mutable SlotImage relearn_;

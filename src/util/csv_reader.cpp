@@ -3,21 +3,7 @@
 #include <fstream>
 #include <stdexcept>
 
-#include "obs/metrics.h"
-#include "util/log.h"
-
 namespace auric::util {
-
-namespace {
-
-obs::Counter& torn_tail_counter() {
-  static obs::Counter& c = obs::MetricsRegistry::global().counter(
-      "auric_csv_torn_tail_dropped_total",
-      "unterminated final CSV lines dropped by tolerant parses");
-  return c;
-}
-
-}  // namespace
 
 std::vector<std::string> parse_csv_line(const std::string& line) {
   std::vector<std::string> fields;
@@ -55,8 +41,7 @@ std::vector<std::string> parse_csv_line(const std::string& line) {
   return fields;
 }
 
-CsvTable CsvTable::parse(std::istream& in, const std::string& source,
-                         const CsvParseOptions& options) {
+CsvTable CsvTable::parse(std::istream& in, const std::string& source) {
   CsvTable table;
   table.source_ = source;
   std::string line;
@@ -73,27 +58,12 @@ CsvTable CsvTable::parse(std::istream& in, const std::string& source,
     throw std::invalid_argument(source + ": missing header row");
   }
   ++line_number;
-  if (in.eof() && options.tolerate_torn_tail) {
-    // An unterminated header was never committed, and without a header
-    // nothing else is loadable: fail loudly instead of returning an empty
-    // table that would silently read as "no state".
-    throw std::invalid_argument(source + ": torn header row (no trailing newline)");
-  }
   table.headers_ = parse_record(line);
   for (std::size_t c = 0; c < table.headers_.size(); ++c) {
     table.column_index_[table.headers_[c]] = c;
   }
   while (std::getline(in, line)) {
     ++line_number;
-    // getline sets eofbit when the stream ends before a '\n': this line is
-    // the file's unterminated tail. Under tolerate_torn_tail that means it
-    // was never durably committed — drop it instead of trusting it.
-    if (in.eof() && options.tolerate_torn_tail) {
-      torn_tail_counter().inc();
-      log_warn("CSV " + source + " line " + std::to_string(line_number) +
-               ": dropping torn final line (no trailing newline)");
-      break;
-    }
     if (line.empty() || line == "\r") continue;
     auto fields = parse_record(line);
     if (fields.size() != table.headers_.size()) {
@@ -107,10 +77,10 @@ CsvTable CsvTable::parse(std::istream& in, const std::string& source,
   return table;
 }
 
-CsvTable CsvTable::load(const std::string& path, const CsvParseOptions& options) {
+CsvTable CsvTable::load(const std::string& path) {
   std::ifstream in(path);
   if (!in) throw std::runtime_error("CsvTable: cannot open " + path);
-  return parse(in, path, options);
+  return parse(in, path);
 }
 
 std::string CsvTable::context(std::size_t row) const {

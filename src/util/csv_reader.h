@@ -17,29 +17,17 @@ namespace auric::util {
 /// doubled-quote escapes. Throws std::invalid_argument on malformed quoting.
 std::vector<std::string> parse_csv_line(const std::string& line);
 
-struct CsvParseOptions {
-  /// Treat an unterminated final DATA line (no trailing newline — the shape
-  /// a crash mid-append or a torn sector leaves behind) as an uncommitted
-  /// tail: drop it with a warning and a metrics counter
-  /// (auric_csv_torn_tail_dropped_total) instead of parsing it. Matches the
-  /// launch-state journal's seal rule: a record without its terminator was
-  /// never committed. The header row is exempt (without it nothing is
-  /// loadable, so a torn header still fails loudly).
-  bool tolerate_torn_tail = false;
-};
-
 /// A fully parsed CSV file with a header row.
 class CsvTable {
  public:
   /// Parses from a stream. Requires a header row; data rows must match its
   /// arity. Empty trailing lines are ignored. `source` names the stream in
   /// error messages (load() passes the file path).
-  static CsvTable parse(std::istream& in, const std::string& source = "<csv>",
-                        const CsvParseOptions& options = {});
+  static CsvTable parse(std::istream& in, const std::string& source = "<csv>");
 
   /// Convenience: opens and parses `path`; throws std::runtime_error if the
   /// file cannot be read.
-  static CsvTable load(const std::string& path, const CsvParseOptions& options = {});
+  static CsvTable load(const std::string& path);
 
   const std::vector<std::string>& headers() const { return headers_; }
   std::size_t row_count() const { return rows_.size(); }

@@ -8,7 +8,6 @@
 #include <gtest/gtest.h>
 
 #include "config/ground_truth.h"
-#include "obs/metrics.h"
 #include "test_helpers.h"
 #include "util/csv_reader.h"
 
@@ -85,38 +84,12 @@ TEST(CsvTable, ErrorsNameSourceAndLineNumber) {
 }
 
 TEST(CsvTable, TornFinalLineParsesAsDataByDefault) {
-  // Backward-compatible default: a final line without its newline is still
-  // a row. Only opt-in loaders (checkpoint recovery) treat it as torn.
+  // A final line without its newline is still a row. (The checkpoint store
+  // checks progress.csv's terminator itself and refuses a torn one.)
   std::istringstream in("carrier,applied\n3,17\n9,4");
   const util::CsvTable table = util::CsvTable::parse(in, "journal.csv");
   ASSERT_EQ(table.row_count(), 2u);
   EXPECT_EQ(table.field(1, "applied"), "4");
-}
-
-TEST(CsvTable, TornFinalLineDroppedWhenTolerated) {
-  const std::uint64_t before =
-      obs::MetricsRegistry::global().counter("auric_csv_torn_tail_dropped_total").value();
-  // The final record lost its terminator mid-field (crash during append);
-  // the tolerant parse drops it instead of failing the whole load -- even
-  // when the torn bytes are not parseable CSV at all.
-  const util::CsvParseOptions tolerant{.tolerate_torn_tail = true};
-  std::istringstream torn("carrier,applied\n3,17\n9,\"unbal");
-  const util::CsvTable table = util::CsvTable::parse(torn, "journal.csv", tolerant);
-  ASSERT_EQ(table.row_count(), 1u);
-  EXPECT_EQ(table.field(0, "carrier"), "3");
-  EXPECT_EQ(
-      obs::MetricsRegistry::global().counter("auric_csv_torn_tail_dropped_total").value(),
-      before + 1);
-
-  // A properly terminated file loses nothing under the same options.
-  std::istringstream whole("carrier,applied\n3,17\n9,4\n");
-  EXPECT_EQ(util::CsvTable::parse(whole, "journal.csv", tolerant).row_count(), 2u);
-
-  // The header is exempt: without it nothing is loadable, so a torn header
-  // still fails loudly rather than yielding a silently empty table.
-  std::istringstream header_only("carrier,app");
-  EXPECT_THROW(util::CsvTable::parse(header_only, "journal.csv", tolerant),
-               std::invalid_argument);
 }
 
 TEST(CsvTable, TypedAccessorsRejectTrailingGarbage) {

@@ -4,6 +4,9 @@
 #include <filesystem>
 #include <fstream>
 #include <functional>
+#include <iterator>
+#include <string>
+#include <string_view>
 #include <tuple>
 #include <vector>
 
@@ -19,14 +22,6 @@ std::string temp_dir(const char* tag) {
       std::filesystem::temp_directory_path() / ("auric_launch_state_" + std::string(tag));
   std::filesystem::remove_all(dir);
   return dir.string();
-}
-
-/// Legacy rewrite-every-file layout; most corruption tests target it because
-/// its flat CSVs are what an operator (or a torn disk) would edit.
-LaunchStateStore::Options rewrite_options() {
-  LaunchStateStore::Options options;
-  options.journal = false;
-  return options;
 }
 
 std::string thrown_message(const std::function<void()>& fn) {
@@ -122,50 +117,64 @@ void corrupt(const std::string& dir, const char* file, const std::string& conten
   out << content;
 }
 
-TEST(LaunchStateStore, MalformedJournalNamesFileAndLine) {
-  const LaunchStateStore store(temp_dir("bad_journal"), rewrite_options());
-  store.save(sample_state());
-  corrupt(store.dir(), "journal.csv", "carrier,applied\n3,17\nxyz,2\n");
-  const std::string msg = thrown_message([&] { (void)store.load(); });
-  EXPECT_NE(msg.find("journal.csv"), std::string::npos) << msg;
-  EXPECT_NE(msg.find("line 3"), std::string::npos) << msg;
+std::string read_text(const std::filesystem::path& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
 }
 
-TEST(LaunchStateStore, DuplicateJournalCarrierRejected) {
-  const LaunchStateStore store(temp_dir("dup_journal"), rewrite_options());
-  store.save(sample_state());
-  corrupt(store.dir(), "journal.csv", "carrier,applied\n3,17\n3,4\n");
-  const std::string msg = thrown_message([&] { (void)store.load(); });
-  EXPECT_NE(msg.find("duplicate journal entry"), std::string::npos) << msg;
-  EXPECT_NE(msg.find("line 3"), std::string::npos) << msg;
+/// Replaces 1-based line `line` of `path`, its newline included, with
+/// `record` of the same byte length: the seal still covers the bytes, so
+/// load() must reject them by validation, not truncate them as a torn tail.
+void overwrite_record(const std::filesystem::path& path, std::size_t line,
+                      const std::string& record) {
+  std::string text = read_text(path);
+  std::size_t begin = 0;
+  for (std::size_t n = 1; n < line; ++n) begin = text.find('\n', begin) + 1;
+  const std::size_t end = text.find('\n', begin) + 1;
+  ASSERT_EQ(end - begin, record.size()) << "'" << text.substr(begin, end - begin) << "'";
+  text.replace(begin, record.size(), record);
+  std::ofstream(path, std::ios::binary | std::ios::trunc) << text;
 }
 
-TEST(LaunchStateStore, UnknownBreakerStateNamesFileAndLine) {
-  const LaunchStateStore store(temp_dir("bad_breaker"), rewrite_options());
-  store.save(sample_state());
-  corrupt(store.dir(), "breaker.csv",
-          "state,consecutive_failures,cooldown_remaining,trips,refusals\nwedged,0,0,0,0\n");
-  const std::string msg = thrown_message([&] { (void)store.load(); });
-  EXPECT_NE(msg.find("breaker.csv"), std::string::npos) << msg;
-  EXPECT_NE(msg.find("wedged"), std::string::npos) << msg;
-}
-
-TEST(LaunchStateStore, UnknownEmsKeyNamesFileAndLine) {
-  const LaunchStateStore store(temp_dir("bad_ems"), rewrite_options());
-  store.save(sample_state());
-  corrupt(store.dir(), "ems.csv", "key,value\npushes_executed,5\nwarp_factor,9\n");
-  const std::string msg = thrown_message([&] { (void)store.load(); });
-  EXPECT_NE(msg.find("ems.csv"), std::string::npos) << msg;
-  EXPECT_NE(msg.find("warp_factor"), std::string::npos) << msg;
-}
-
-TEST(LaunchStateStore, SlotWritePairwiseFlagValidated) {
-  const LaunchStateStore store(temp_dir("bad_applied"), rewrite_options());
-  store.save(sample_state());
-  corrupt(store.dir(), "applied.csv", "pairwise,param_pos,entity,value\n2,0,0,1\n");
-  const std::string msg = thrown_message([&] { (void)store.load(); });
-  EXPECT_NE(msg.find("applied.csv"), std::string::npos) << msg;
-  EXPECT_NE(msg.find("line 2"), std::string::npos) << msg;
+TEST(LaunchStateStore, CorruptSealedRecordNamesFileAndLine) {
+  // The first-generation logs of sample_state(), one record per row broken
+  // in place. A row whose record keeps its newline must be reported at
+  // `<log> line N`; the last row drops the final newline instead.
+  struct Case {
+    const char* log;
+    std::size_t line;
+    const char* record;
+    const char* want;
+  };
+  const Case cases[] = {
+      {"journal.log1.csv", 1, "op,a,b,c,d,x\n", "bad journal header"},
+      {"journal.log1.csv", 2, "x,3,17,,,\n", "unknown op 'x'"},
+      {"journal.log1.csv", 2, "u,3,1,9,,\n", "unexpected operand '9'"},
+      {"journal.log1.csv", 2, "u,3,1,,,,\n", "expected 6 fields, got 7"},
+      {"journal.log1.csv", 2, "e,333,,,,\n", "erase of absent key 333"},
+      {"journal.log1.csv", 3, "u,9,2,,,,", "not record-aligned"},
+      {"deferred.log1.csv", 2, "pop,99,,,,\n", "value 99 outside [1, 0]"},
+      {"quarantine.log1.csv", 2, "u,-,1,,,\n", "'-' is not an integer"},
+      {"breaker.log1.csv", 2, "set,wedg,3,2,1,4\n", "unknown circuit-breaker state 'wedg'"},
+      {"ems.log1.csv", 2, "set,warp_factor_xyz,123,,,\n", "unknown key 'warp_factor_xyz'"},
+      {"ems.log1.csv", 7, "add,sideways,1,,,\n", "unknown list 'sideways'"},
+      {"applied.log1.csv", 2, "u,2,2,11,5,\n", "value 2 outside [0, 1]"},
+      {"relearn.log1.csv", 2, "e,0,2,123,,\n", "erase of absent slot key"},
+  };
+  for (std::size_t i = 0; i < std::size(cases); ++i) {
+    const Case& c = cases[i];
+    SCOPED_TRACE(std::string(c.log) + " line " + std::to_string(c.line) + ": " + c.want);
+    const std::string dir = temp_dir(("corrupt_" + std::to_string(i)).c_str());
+    LaunchStateStore(dir).save(sample_state());
+    overwrite_record(std::filesystem::path(dir) / c.log, c.line, c.record);
+    const std::string msg = thrown_message([&] { (void)LaunchStateStore(dir).load(); });
+    EXPECT_NE(msg.find(c.want), std::string::npos) << msg;
+    EXPECT_NE(msg.find(c.log), std::string::npos) << msg;
+    if (std::string_view(c.record).ends_with('\n')) {
+      const std::string at = std::string(c.log) + " line " + std::to_string(c.line);
+      EXPECT_NE(msg.find(at), std::string::npos) << msg;
+    }
+  }
 }
 
 TEST(LaunchStateStore, DuplicateProgressKeyRejected) {
@@ -178,10 +187,50 @@ TEST(LaunchStateStore, DuplicateProgressKeyRejected) {
 }
 
 TEST(LaunchStateStore, MissingFileFailsLoudly) {
-  const LaunchStateStore store(temp_dir("missing_file"), rewrite_options());
+  const LaunchStateStore store(temp_dir("missing_file"));
   store.save(sample_state());
-  std::filesystem::remove(std::filesystem::path(store.dir()) / "ems.csv");
+  std::filesystem::remove(std::filesystem::path(store.dir()) / "ems.log1.csv");
+  const std::string msg = thrown_message([&] { (void)store.load(); });
+  EXPECT_NE(msg.find("cannot open"), std::string::npos) << msg;
+  EXPECT_NE(msg.find("ems.log1.csv"), std::string::npos) << msg;
   EXPECT_THROW((void)store.load(), std::runtime_error);
+}
+
+TEST(LaunchStateStore, ProgressWithoutJournalSealsFailsToLoad) {
+  // A hand-made (or pre-journal) checkpoint: caller counters, no seals.
+  const LaunchStateStore store(temp_dir("sealless_progress"));
+  store.save(sample_state());
+  corrupt(store.dir(), "progress.csv", "key,value\nday,12\nkpi,0x1.8p-1\n");
+  const std::string msg = thrown_message([&] { (void)store.load(); });
+  EXPECT_NE(msg.find("progress.csv"), std::string::npos) << msg;
+  EXPECT_NE(msg.find("expected 7 journal seals, found 0"), std::string::npos) << msg;
+  EXPECT_THROW((void)store.load(), std::invalid_argument);
+}
+
+TEST(LaunchStateStore, TornProgressFailsToLoad) {
+  // progress.csv is only ever replaced by a rename, so a final row that
+  // lost its newline is corruption: resuming without it would silently
+  // drop a counter.
+  const LaunchStateStore store(temp_dir("torn_progress"));
+  store.save(sample_state());
+  const std::filesystem::path progress = std::filesystem::path(store.dir()) / "progress.csv";
+  std::filesystem::resize_file(progress, std::filesystem::file_size(progress) - 3);
+  const std::string msg = thrown_message([&] { (void)store.load(); });
+  EXPECT_NE(msg.find("progress.csv"), std::string::npos) << msg;
+  EXPECT_NE(msg.find("no trailing newline"), std::string::npos) << msg;
+  EXPECT_THROW((void)store.load(), std::invalid_argument);
+}
+
+/// Stream logs of `id` ("journal", "ems.1", ...): `<id>.log<gen>.csv`.
+std::vector<std::filesystem::path> log_files(const std::string& dir, const std::string& id) {
+  std::vector<std::filesystem::path> out;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    const std::string name = entry.path().filename().string();
+    if (name.rfind(id + ".log", 0) == 0 && name.find(".csv") != std::string::npos) {
+      out.push_back(entry.path());
+    }
+  }
+  return out;
 }
 
 LaunchState sharded_state() {
@@ -235,20 +284,20 @@ TEST(LaunchStateStore, ShardedStateRoundTripsPerShard) {
 }
 
 TEST(LaunchStateStore, ShardedLayoutUsesSuffixedFiles) {
-  const LaunchStateStore store(temp_dir("sharded_files"), rewrite_options());
+  const LaunchStateStore store(temp_dir("sharded_files"));
   store.save(sharded_state());
   const std::filesystem::path dir(store.dir());
-  for (const char* base : {"journal", "deferred", "quarantine", "breaker", "ems"}) {
-    EXPECT_TRUE(std::filesystem::exists(dir / (std::string(base) + ".0.csv"))) << base;
-    EXPECT_TRUE(std::filesystem::exists(dir / (std::string(base) + ".1.csv"))) << base;
-    EXPECT_FALSE(std::filesystem::exists(dir / (std::string(base) + ".csv")))
-        << base << " flat file must not be written in sharded mode";
+  for (const std::string base : {"journal", "deferred", "quarantine", "breaker", "ems"}) {
+    EXPECT_TRUE(std::filesystem::exists(dir / (base + ".0.log1.csv"))) << base;
+    EXPECT_TRUE(std::filesystem::exists(dir / (base + ".1.log1.csv"))) << base;
+    EXPECT_TRUE(log_files(store.dir(), base).empty())
+        << base << " flat log must not be written in sharded mode";
   }
 }
 
-TEST(LaunchStateStore, SingleShardLegacyLayoutHasNoMarker) {
-  const LaunchStateStore store(temp_dir("legacy_marker"));
-  store.save(sample_state());  // shards empty -> legacy flat layout
+TEST(LaunchStateStore, SingleShardLayoutHasNoMarker) {
+  const LaunchStateStore store(temp_dir("flat_marker"));
+  store.save(sample_state());  // shards empty -> flat single-shard streams
   std::ifstream progress(std::filesystem::path(store.dir()) / "progress.csv");
   std::string contents((std::istreambuf_iterator<char>(progress)),
                        std::istreambuf_iterator<char>());
@@ -265,24 +314,15 @@ TEST(LaunchStateStore, ReservedProgressKeyRejected) {
 }
 
 TEST(LaunchStateStore, MissingShardFileFailsLoudly) {
-  const LaunchStateStore store(temp_dir("missing_shard_file"), rewrite_options());
+  const LaunchStateStore store(temp_dir("missing_shard_file"));
   store.save(sharded_state());
-  std::filesystem::remove(std::filesystem::path(store.dir()) / "ems.1.csv");
+  std::filesystem::remove(std::filesystem::path(store.dir()) / "ems.1.log1.csv");
+  const std::string msg = thrown_message([&] { (void)store.load(); });
+  EXPECT_NE(msg.find("ems.1.log1.csv"), std::string::npos) << msg;
   EXPECT_THROW((void)store.load(), std::runtime_error);
 }
 
 // --- Journal-layout behavior ----------------------------------------------
-
-std::vector<std::filesystem::path> log_files(const std::string& dir, const std::string& id) {
-  std::vector<std::filesystem::path> out;
-  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
-    const std::string name = entry.path().filename().string();
-    if (name.rfind(id + ".log", 0) == 0 && name.find(".csv") != std::string::npos) {
-      out.push_back(entry.path());
-    }
-  }
-  return out;
-}
 
 std::uint64_t checkpoint_bytes_total() {
   return obs::MetricsRegistry::global().counter("auric_checkpoint_bytes_total").value();
@@ -314,10 +354,11 @@ TEST(LaunchStateStore, JournalLayoutAppendsDeltasInsideCommit) {
   EXPECT_EQ(loaded.progress, state.progress);
 }
 
-TEST(LaunchStateStore, JournalCheckpointBytesAreFiveTimesBelowRewrite) {
+TEST(LaunchStateStore, JournalCheckpointBytesAreFiveTimesBelowFullSnapshot) {
   // A grown state image (the "400K carriers after a month" shape, scaled
-  // down) with a one-launch delta: the journal checkpoint must write at
-  // least 5x fewer bytes than the rewrite-every-file checkpoint.
+  // down) with a one-launch delta: the checkpoint must write at least 5x
+  // fewer bytes than the image's first save, a full snapshot of every
+  // stream — what rewriting every file would cost each time.
   LaunchState grown;
   for (netsim::CarrierId c = 0; c < 2000; ++c) grown.journal.push_back({c, 64});
   for (netsim::CarrierId c = 0; c < 500; ++c) grown.quarantine.push_back({c * 3, 1});
@@ -331,22 +372,17 @@ TEST(LaunchStateStore, JournalCheckpointBytesAreFiveTimesBelowRewrite) {
   next.ems.pushes_executed += 3;
   next.progress = {{"day", "30"}, {"kpi", "0x1.9p-1"}};
 
-  const LaunchStateStore journal_store(temp_dir("bytes_journal"));
-  journal_store.save(grown);
-  const std::uint64_t journal_before = checkpoint_bytes_total();
-  journal_store.save(next);
-  const std::uint64_t journal_delta = checkpoint_bytes_total() - journal_before;
+  const LaunchStateStore store(temp_dir("bytes_journal"));
+  const std::uint64_t before = checkpoint_bytes_total();
+  store.save(grown);
+  const std::uint64_t snapshot_bytes = checkpoint_bytes_total() - before;
+  store.save(next);
+  const std::uint64_t delta_bytes = checkpoint_bytes_total() - before - snapshot_bytes;
 
-  const LaunchStateStore rewrite_store(temp_dir("bytes_rewrite"), rewrite_options());
-  rewrite_store.save(grown);
-  const std::uint64_t rewrite_before = checkpoint_bytes_total();
-  rewrite_store.save(next);
-  const std::uint64_t rewrite_delta = checkpoint_bytes_total() - rewrite_before;
-
-  ASSERT_GT(journal_delta, 0u);
-  EXPECT_GE(rewrite_delta, 5 * journal_delta)
-      << "journal wrote " << journal_delta << " bytes, rewrite wrote " << rewrite_delta;
-  EXPECT_EQ(journal_store.load().journal, rewrite_store.load().journal);
+  ASSERT_GT(delta_bytes, 0u);
+  EXPECT_GE(snapshot_bytes, 5 * delta_bytes)
+      << "delta wrote " << delta_bytes << " bytes, full snapshot " << snapshot_bytes;
+  EXPECT_EQ(store.load().journal, next.journal);
 }
 
 TEST(LaunchStateStore, CompactionAdvancesGenerationAndDropsOldLog) {
@@ -392,30 +428,6 @@ TEST(LaunchStateStore, TornJournalTailTruncatedOnLoad) {
   EXPECT_EQ(std::filesystem::file_size(logs[0]), sealed_size) << "tail must be cut off on disk";
 }
 
-TEST(LaunchStateStore, LegacyCheckpointMigratesToJournalOnSave) {
-  const std::string dir = temp_dir("legacy_migrate");
-  LaunchState state = sample_state();
-  {
-    const LaunchStateStore legacy(dir, rewrite_options());
-    legacy.save(state);
-  }
-
-  const LaunchStateStore store(dir);  // journal mode over a legacy checkpoint
-  const LaunchState loaded = store.load();
-  EXPECT_TRUE(store.load_stats().legacy_layout);
-  EXPECT_EQ(loaded.journal, state.journal);
-
-  state.journal.push_back({30, 1});
-  store.save(state);  // re-baselines into journal logs
-  EXPECT_FALSE(std::filesystem::exists(std::filesystem::path(dir) / "journal.csv"))
-      << "superseded legacy files must be cleaned up after the journal commit";
-  ASSERT_EQ(log_files(dir, "journal").size(), 1u);
-
-  const LaunchStateStore reopened(dir);
-  EXPECT_EQ(reopened.load().journal, state.journal);
-  EXPECT_FALSE(reopened.load_stats().legacy_layout);
-}
-
 TEST(LaunchStateStore, FreshStoreOverExistingJournalRebaselines) {
   const std::string dir = temp_dir("rebaseline");
   LaunchState state = sample_state();
@@ -438,18 +450,6 @@ TEST(LaunchStateStore, UnsortedJournalRejectedInJournalMode) {
   LaunchState state = sample_state();
   state.journal = {{9, 2}, {3, 17}};
   EXPECT_THROW(store.save(state), std::invalid_argument);
-}
-
-TEST(LaunchStateStore, TornLegacyCsvTailDroppedWithWarning) {
-  const LaunchStateStore store(temp_dir("legacy_torn"), rewrite_options());
-  LaunchState state = sample_state();
-  store.save(state);
-  // Simulate a torn final sector in the flat layout: the last row of
-  // journal.csv is cut mid-field, no trailing newline.
-  corrupt(store.dir(), "journal.csv", "carrier,applied\n3,17\n9,");
-  const LaunchState loaded = store.load();
-  ASSERT_EQ(loaded.journal.size(), 1u);
-  EXPECT_EQ(loaded.journal[0].first, 3);
 }
 
 // --- Slot images: save() takes writes, the store keeps the images ---------
@@ -596,23 +596,29 @@ TEST(LaunchStateStore, UnsortedSlotWritesRejected) {
 }
 
 TEST(LaunchStateStore, CrashPointCatalogIsStable) {
-  const auto& catalog = LaunchStateStore::crash_point_catalog();
-  EXPECT_GE(catalog.size(), 12u);
-  for (const std::string& point : catalog) {
-    EXPECT_TRUE(point.find('.') != std::string::npos) << point;
-  }
+  // DESIGN.md §14 lists the same points in the same order.
+  const std::vector<std::string> expected = {
+      "checkpoint.snapshot_write", "checkpoint.snapshot_fsync", "checkpoint.snapshot_rename",
+      "checkpoint.append",         "checkpoint.append_fsync",   "checkpoint.predir_fsync",
+      "checkpoint.progress_write", "checkpoint.progress_fsync", "checkpoint.progress_rename",
+      "checkpoint.dir_fsync",      "checkpoint.cleanup",        "recover.truncate",
+  };
+  EXPECT_EQ(LaunchStateStore::crash_point_catalog(), expected);
 }
 
 TEST(LaunchStateStore, ClearRemovesShardFiles) {
-  const LaunchStateStore store(temp_dir("sharded_clear"), rewrite_options());
+  const LaunchStateStore store(temp_dir("sharded_clear"));
   store.save(sharded_state());
+  std::ofstream(std::filesystem::path(store.dir()) / "notes.txt") << "operator notes\n";
   store.clear();
   EXPECT_FALSE(store.exists());
-  const std::filesystem::path dir(store.dir());
-  for (const char* base : {"journal", "deferred", "quarantine", "breaker", "ems"}) {
-    EXPECT_FALSE(std::filesystem::exists(dir / (std::string(base) + ".0.csv"))) << base;
-    EXPECT_FALSE(std::filesystem::exists(dir / (std::string(base) + ".1.csv"))) << base;
+  for (const std::string base : {"journal", "deferred", "quarantine", "breaker", "ems"}) {
+    EXPECT_TRUE(log_files(store.dir(), base + ".0").empty()) << base;
+    EXPECT_TRUE(log_files(store.dir(), base + ".1").empty()) << base;
   }
+  EXPECT_TRUE(log_files(store.dir(), "applied").empty());
+  EXPECT_TRUE(std::filesystem::exists(std::filesystem::path(store.dir()) / "notes.txt"))
+      << "clear() must leave unrelated files alone";
 }
 
 }  // namespace
